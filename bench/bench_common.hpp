@@ -2,8 +2,10 @@
 
 // Shared plumbing for the experiment binaries (bench/): banner printing and
 // the standard workloads. Every binary runs standalone with no arguments
-// and prints paper-style markdown tables; EXPERIMENTS.md records the
-// claim-by-claim comparison.
+// and prints paper-style markdown tables. The committed results live in
+// BENCH_congest.json, BENCH_serve.json and BENCH_scale.json at the
+// repository root; the end-to-end benchmark and its workloads are described
+// in perfbench/README.md.
 
 #include <iostream>
 #include <string>

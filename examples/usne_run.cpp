@@ -68,6 +68,12 @@ std::string invariants_field() {
   return ", \"invariants\": " + usne::inv::counters_json();
 }
 
+/// Scheduler wall nanoseconds per message sent (0 for a silent task).
+double ns_per_message(const usne::congest::StageTimes& t) {
+  return t.messages > 0 ? t.wall_s * 1e9 / static_cast<double>(t.messages)
+                        : 0.0;
+}
+
 /// `--profile`: per-(phase, task) scheduler stage breakdown plus the
 /// attribution-coverage line the acceptance gate reads (stage_sum must
 /// reach >= 95% of the summed scheduler wall time — anything less means a
@@ -78,27 +84,33 @@ void print_profile(const std::vector<usne::congest::PhaseProfileEntry>& prof) {
     std::cout << "profile: empty (only CONGEST algorithms are profiled)\n";
     return;
   }
-  usne::Table table({"task", "rounds", "deliver_ms", "compute_ms",
-                     "replay_ms", "end_round_ms", "other_ms", "wall_ms"});
+  usne::Table table({"task", "rounds", "messages", "deliver_ms", "compute_ms",
+                     "replay_ms", "end_round_ms", "other_ms", "wall_ms",
+                     "ns/msg"});
   usne::congest::StageTimes total;
   for (const usne::congest::PhaseProfileEntry& e : prof) {
     const usne::congest::StageTimes& t = e.times;
     table.row()
         .add(e.label)
         .add(t.rounds)
+        .add(t.messages)
         .add(t.deliver_s * 1e3, 3)
         .add(t.compute_s * 1e3, 3)
         .add(t.replay_s * 1e3, 3)
         .add(t.end_round_s * 1e3, 3)
         .add((t.init_s + t.drain_s) * 1e3, 3)
-        .add(t.wall_s * 1e3, 3);
+        .add(t.wall_s * 1e3, 3)
+        .add(ns_per_message(t), 1);
     total += t;
   }
   table.print(std::cout, "construction profile");
   const double coverage =
       total.wall_s > 0 ? total.stage_sum_s() / total.wall_s : 1.0;
   std::cout << "profile: " << prof.size() << " tasks, scheduler wall = "
-            << format_double(total.wall_s * 1e3, 3) << " ms, stage coverage = "
+            << format_double(total.wall_s * 1e3, 3) << " ms, "
+            << total.messages << " messages ("
+            << format_double(ns_per_message(total), 1)
+            << " ns/msg), stage coverage = "
             << format_double(coverage * 100.0, 1) << "%\n";
 }
 
@@ -114,9 +126,10 @@ std::string profile_json(
         << ", \"deliver_s\": " << t.deliver_s
         << ", \"drain_s\": " << t.drain_s
         << ", \"end_round_s\": " << t.end_round_s
-        << ", \"init_s\": " << t.init_s << ", \"rounds\": " << t.rounds
-        << ", \"task\": \"" << prof[i].label
-        << "\", \"wall_s\": " << t.wall_s << "}";
+        << ", \"init_s\": " << t.init_s << ", \"messages\": " << t.messages
+        << ", \"rounds\": " << t.rounds << ", \"task\": \"" << prof[i].label
+        << "\", \"wall_s\": " << t.wall_s << ", \"words\": " << t.words
+        << "}";
   }
   out << "]";
   return out.str();

@@ -109,21 +109,12 @@ ScheduleReport Scheduler::run(NodeProgram& program) {
       // cursor (per-chunk work stealing), only read the network
       // (inbox/graph), and stage their sends locally; the ascending-order
       // replay below reproduces the serial staging order exactly.
-      const std::size_t m = delivered.size();
-      const std::int64_t total = net_->delivered_messages();
-      chunk_begin.assign(shards + 1, m);
-      chunk_begin[0] = 0;
-      std::size_t next_chunk = 1;
-      std::int64_t cumulative = 0;
-      for (std::size_t i = 0; i < m && next_chunk < shards; ++i) {
-        cumulative +=
-            static_cast<std::int64_t>(net_->inbox(delivered[i]).size());
-        while (next_chunk < shards &&
-               cumulative * static_cast<std::int64_t>(shards) >=
-                   static_cast<std::int64_t>(next_chunk) * total) {
-          chunk_begin[next_chunk++] = i + 1;
-        }
-      }
+      util::weighted_split(
+          delivered.size(), shards, net_->delivered_messages(),
+          [&](std::size_t i) {
+            return static_cast<std::int64_t>(net_->inbox(delivered[i]).size());
+          },
+          chunk_begin);
       pool->parallel_for(static_cast<int>(shards), [&](int s) {
         const std::size_t su = static_cast<std::size_t>(s);
         Outbox& worker_out = stage[su];
@@ -141,8 +132,7 @@ ScheduleReport Scheduler::run(NodeProgram& program) {
       if (inv::audits_enabled()) {
         expected_pending = net_->pending_messages();
         for (const Outbox& worker_out : stage) {
-          expected_pending +=
-              static_cast<std::int64_t>(worker_out.staged_.size());
+          expected_pending += worker_out.staged_messages_;
         }
       }
       for (Outbox& worker_out : stage) worker_out.replay_into(*net_);
@@ -186,9 +176,14 @@ ScheduleReport Scheduler::run(NodeProgram& program) {
 
   const NetworkStats after = net_->stats();
   report.rounds = after.rounds - before.rounds;
+  report.traffic = {after.rounds - before.rounds,
+                    after.messages - before.messages,
+                    after.words - before.words};
   if (prof != nullptr) {
     prof->wall_s += elapsed_s(run_start, MonoClock::now());
     prof->rounds += report.rounds;
+    prof->messages += report.traffic.messages;
+    prof->words += report.traffic.words;
   }
   // Layer-level traffic totals on the global metrics page; two relaxed
   // adds per program run, nowhere near any hot path.
@@ -197,10 +192,7 @@ ScheduleReport Scheduler::run(NodeProgram& program) {
   static obs::Counter& messages_total =
       obs::counter("usne_congest_messages_total");
   rounds_total.add(report.rounds);
-  messages_total.add(after.messages - before.messages);
-  report.traffic = {after.rounds - before.rounds,
-                    after.messages - before.messages,
-                    after.words - before.words};
+  messages_total.add(report.traffic.messages);
   // Idle-round and traffic accounting: idle rounds are a subset of the
   // rounds this program drove, and a program cannot un-send traffic. Cheap
   // enough to keep always-on — a miscount here corrupts the CONGEST cost

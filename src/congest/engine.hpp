@@ -43,12 +43,13 @@
 // lane, with boundaries weighted by delivered-message count so skewed inbox
 // sizes (hubs) do not unbalance the round — and fans the on_round calls out
 // across a persistent thread pool, whose shared task cursor lets idle lanes
-// steal remaining chunks. Each chunk stages its sends in its own Outbox;
-// the Scheduler then replays the staged sends into the Network in ascending
-// chunk order, which reproduces the serial staging order (ascending
-// receiver, per-vertex send order) exactly — round/message/word counts,
-// delivery order, and every algorithm output are bit-for-bit identical to
-// the serial engine, for any lane or chunk count.
+// steal remaining chunks. Each chunk stages its sends in its own Outbox
+// (one record per send and one per broadcast, as the Network stages them);
+// the Scheduler then replays the staged records into the Network in
+// ascending chunk order, which reproduces the serial staging order
+// (ascending receiver, per-vertex send order) exactly — round/message/word
+// counts, delivery order, and every algorithm output are bit-for-bit
+// identical to the serial engine, for any lane or chunk count.
 //
 // The on_round contract under parallelism: a handler may freely mutate
 // state owned by its vertex v (per-vertex arrays, collected[v], queue
@@ -74,8 +75,9 @@ namespace usne::congest {
 ///
 /// Two modes: direct (serial execution and the init/end_round hooks —
 /// sends go straight to the network) and staging (the parallel on_round
-/// fan-out — each worker buffers sends locally and the Scheduler replays
-/// them into the network in ascending shard order).
+/// fan-out — each worker buffers sends locally, a broadcast as a single
+/// record, and the Scheduler replays them into the network in ascending
+/// shard order).
 class Outbox {
  public:
   /// Direct mode.
@@ -94,41 +96,43 @@ class Outbox {
     if (net_ != nullptr) {
       net_->send(from, to, msg);
     } else {
-      staged_.push_back({from, to, msg});
+      staged_.push_back({to, {from, msg}});
+      ++staged_messages_;
     }
   }
 
   void broadcast(Vertex from, const Message& msg) {
     if (net_ != nullptr) {
       net_->broadcast(from, msg);
-      return;
-    }
-    for (const Vertex to : graph_->neighbors(from)) {
-      staged_.push_back({from, to, msg});
+    } else {
+      staged_.push_back({kBroadcast, {from, msg}});
+      staged_messages_ += graph_->degree(from);
     }
   }
 
  private:
   friend class Scheduler;
 
-  struct Staged {
-    Vertex from;
-    Vertex to;
-    Message msg;
-  };
-
-  /// Replays staged sends into `net` in staging order (Scheduler only).
-  /// Runs the same per-send cap checks a direct send would, in the same
-  /// order the serial engine would have run them.
+  /// Replays staged records into `net` in staging order (Scheduler only).
+  /// Runs the same cap checks a direct send or broadcast would, in the
+  /// same order the serial engine would have run them.
   void replay_into(Network& net) {
-    for (const Staged& s : staged_) net.send(s.from, s.to, s.msg);
+    for (const Staged& s : staged_) {
+      if (s.to == kBroadcast) {
+        net.broadcast(s.rcv.from, s.rcv.msg);
+      } else {
+        net.send(s.rcv.from, s.to, s.rcv.msg);
+      }
+    }
     staged_.clear();
+    staged_messages_ = 0;
   }
 
   Network* net_ = nullptr;
   const Graph* graph_ = nullptr;
   std::size_t shard_ = 0;
   std::vector<Staged> staged_;
+  std::int64_t staged_messages_ = 0;  // messages staged_ stands for
 };
 
 /// A node-local synchronous protocol. See the file comment for the hook

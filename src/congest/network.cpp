@@ -15,7 +15,30 @@ namespace {
 /// under a parallel execution policy: the three fork/join handshakes of
 /// the sharded pass cost more than a small batch's scatter. Purely a
 /// wall-clock knob — delivery order is bit-identical either way.
-constexpr std::size_t kMinParallelScatter = 4096;
+constexpr std::int64_t kMinParallelScatter = 4096;
+
+/// Calls fn(receiver) for each message a staged record stands for: its
+/// recipient, or every CSR neighbour of the sender for a broadcast record.
+template <typename Fn>
+void for_each_receiver(const Graph& g, const Staged& p, Fn&& fn) {
+  if (p.to != kBroadcast) {
+    fn(p.to);
+    return;
+  }
+  for (const Vertex to : g.neighbors(p.rcv.from)) fn(to);
+}
+
+/// Messages a staged record stands for.
+std::int64_t record_messages(const Graph& g, const Staged& p) {
+  return p.to == kBroadcast ? g.degree(p.rcv.from) : 1;
+}
+
+void check_message_size(const Message& msg) {
+  if (msg.size < 1 || msg.size > kMaxWords) {
+    throw CongestViolation("message exceeds O(1)-word cap: " +
+                           std::to_string(msg.size) + " words");
+  }
+}
 
 }  // namespace
 
@@ -88,10 +111,7 @@ std::int64_t Network::directed_edge_id(Vertex from, Vertex to) const {
 }
 
 void Network::send(Vertex from, Vertex to, const Message& msg) {
-  if (msg.size < 1 || msg.size > kMaxWords) {
-    throw CongestViolation("message exceeds O(1)-word cap: " +
-                           std::to_string(msg.size) + " words");
-  }
+  check_message_size(msg);
   const std::int64_t eid = directed_edge_id(from, to);
   if (eid < 0) {
     throw CongestViolation("send along non-edge (" + std::to_string(from) +
@@ -106,12 +126,41 @@ void Network::send(Vertex from, Vertex to, const Message& msg) {
   stamp = stats_.rounds;
 
   pending_.push_back({to, {from, msg}});
+  ++pending_count_;
   ++stats_.messages;
   stats_.words += msg.size;
 }
 
 void Network::broadcast(Vertex from, const Message& msg) {
-  for (const Vertex to : graph_->neighbors(from)) send(from, to, msg);
+  check_message_size(msg);
+  const auto nbrs = graph_->neighbors(from);
+  if (nbrs.empty()) return;
+  // The sender's directed edges are its contiguous CSR slot range.
+  std::int64_t* const stamps =
+      edge_round_stamp_.data() + graph_->csr_offset(from);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    if (stamps[i] == stats_.rounds) {
+      throw CongestViolation("second message on edge (" + std::to_string(from) +
+                             "," + std::to_string(nbrs[i]) + ") in round " +
+                             std::to_string(stats_.rounds));
+    }
+  }
+  std::fill_n(stamps, nbrs.size(), stats_.rounds);
+
+  pending_.push_back({kBroadcast, {from, msg}});
+  const auto deg = static_cast<std::int64_t>(nbrs.size());
+  pending_count_ += deg;
+  stats_.messages += deg;
+  stats_.words += deg * msg.size;
+}
+
+void Network::expand_broadcasts() {
+  expanded_.clear();
+  for (const Staged& p : pending_) {
+    for_each_receiver(*graph_, p,
+                      [&](Vertex to) { expanded_.push_back({to, p.rcv}); });
+  }
+  pending_.swap(expanded_);
 }
 
 void Network::sort_inbox_run(Vertex v) {
@@ -122,6 +171,9 @@ void Network::sort_inbox_run(Vertex v) {
   const auto by_sender = [](const Received& a, const Received& b) {
     return a.from < b.from;
   };
+  // Broadcast records staged in ascending sender order (the common shape)
+  // land already sorted.
+  if (std::is_sorted(first, last, by_sender)) return;
   if (model_->unique_senders_per_round()) {
     // Unique keys: plain (allocation-free) sort is already deterministic.
     std::sort(first, last, by_sender);
@@ -142,11 +194,16 @@ void Network::advance_round() {
   // Transport policy: the model turns this round's staged sends into the
   // batch delivered next round (Ideal passes everything through; Faulty
   // drops/duplicates; Async files by drawn latency and surfaces the
-  // messages that are due).
+  // messages that are due). Per-message models see broadcasts expanded.
+  if (!model_->ideal()) expand_broadcasts();
   deliver_.clear();
   model_->collect(stats_.rounds, pending_, deliver_);
   pending_.clear();
-  delivered_messages_ = static_cast<std::int64_t>(deliver_.size());
+  pending_count_ = 0;
+  delivered_messages_ = 0;
+  for (const Staged& p : deliver_) {
+    delivered_messages_ += record_messages(*graph_, p);
+  }
   delivered_total_ += delivered_messages_;
 
   // Message conservation across the Network / DeliveryModel handoff: every
@@ -170,7 +227,7 @@ void Network::advance_round() {
                  ", in flight " + std::to_string(model_->in_flight()) + ")");
 
   util::ThreadPool* const pool =
-      deliver_.size() >= kMinParallelScatter ? thread_pool() : nullptr;
+      delivered_messages_ >= kMinParallelScatter ? thread_pool() : nullptr;
   if (pool != nullptr) {
     scatter_parallel(*pool);
   } else {
@@ -196,9 +253,11 @@ void Network::scatter_serial() {
   // Counting-sort the batch into the delivery arena: receivers in
   // ascending order, one contiguous run each.
   for (const Staged& p : deliver_) {
-    if (recv_count_[static_cast<std::size_t>(p.to)]++ == 0) {
-      receivers_.push_back(p.to);
-    }
+    for_each_receiver(*graph_, p, [&](Vertex to) {
+      if (recv_count_[static_cast<std::size_t>(to)]++ == 0) {
+        receivers_.push_back(to);
+      }
+    });
   }
   std::sort(receivers_.begin(), receivers_.end());
   std::int64_t offset = 0;
@@ -206,11 +265,14 @@ void Network::scatter_serial() {
     inbox_begin_[static_cast<std::size_t>(v)] = offset;
     offset += recv_count_[static_cast<std::size_t>(v)];
   }
-  if (arena_.size() < deliver_.size()) arena_.resize(deliver_.size());
+  const auto m = static_cast<std::size_t>(delivered_messages_);
+  if (arena_.size() < m) arena_.resize(m);
   for (const Staged& p : deliver_) {
-    const auto to = static_cast<std::size_t>(p.to);
-    arena_[static_cast<std::size_t>(inbox_begin_[to] + inbox_count_[to]++)] =
-        p.rcv;
+    for_each_receiver(*graph_, p, [&](Vertex to) {
+      const auto t = static_cast<std::size_t>(to);
+      arena_[static_cast<std::size_t>(inbox_begin_[t] + inbox_count_[t]++)] =
+          p.rcv;
+    });
   }
   // Deterministic processing order for receivers: sort each run by sender.
   for (const Vertex v : receivers_) {
@@ -222,28 +284,34 @@ void Network::scatter_serial() {
 }
 
 void Network::scatter_parallel(util::ThreadPool& pool) {
-  // Sharded counting sort: shard s owns the contiguous batch chunk
-  // [m*s/S, m*(s+1)/S). Within a receiver's arena run, shard s's messages
-  // are written before shard s+1's, at each shard's precomputed cursor —
-  // so the run's content order equals the serial (batch) order exactly,
-  // and the per-run sender sort then matches the serial pass bit for bit.
+  // Sharded counting sort: shard s owns the contiguous record chunk
+  // [shard_begin_[s], shard_begin_[s+1]) of the batch, its boundaries
+  // weighted by message count so one hub's broadcast does not unbalance
+  // the shards. Within a receiver's arena run, shard s's messages are
+  // written before shard s+1's, at each shard's precomputed cursor — so
+  // the run's content order equals the serial (batch) order exactly, and
+  // the per-run sender sort then matches the serial pass bit for bit.
   const std::size_t shards = static_cast<std::size_t>(pool.parallelism());
-  const std::size_t m = deliver_.size();
   const std::size_t n = static_cast<std::size_t>(graph_->num_vertices());
   if (shard_count_.size() != shards) {
     shard_count_.assign(shards, std::vector<std::int64_t>(n, 0));
     shard_touched_.assign(shards, {});
   }
   if (receiver_stamp_.size() != n) receiver_stamp_.assign(n, -1);
+  util::weighted_split(
+      deliver_.size(), shards, delivered_messages_,
+      [&](std::size_t i) { return record_messages(*graph_, deliver_[i]); },
+      shard_begin_);
 
   // Pass 1 (parallel): per-shard destination counts.
   pool.parallel_for(static_cast<int>(shards), [&](int s) {
     const std::size_t su = static_cast<std::size_t>(s);
     auto& count = shard_count_[su];
     auto& touched = shard_touched_[su];
-    for (std::size_t i = m * su / shards; i < m * (su + 1) / shards; ++i) {
-      const auto to = static_cast<std::size_t>(deliver_[i].to);
-      if (count[to]++ == 0) touched.push_back(deliver_[i].to);
+    for (std::size_t i = shard_begin_[su]; i < shard_begin_[su + 1]; ++i) {
+      for_each_receiver(*graph_, deliver_[i], [&](Vertex to) {
+        if (count[static_cast<std::size_t>(to)]++ == 0) touched.push_back(to);
+      });
     }
   });
 
@@ -274,16 +342,19 @@ void Network::scatter_parallel(util::ThreadPool& pool) {
     }
     inbox_count_[sv] = offset - inbox_begin_[sv];
   }
+  const auto m = static_cast<std::size_t>(delivered_messages_);
   if (arena_.size() < m) arena_.resize(m);
 
   // Pass 2 (parallel): scatter at the cursors.
   pool.parallel_for(static_cast<int>(shards), [&](int s) {
     const std::size_t su = static_cast<std::size_t>(s);
     auto& cursor = shard_count_[su];
-    for (std::size_t i = m * su / shards; i < m * (su + 1) / shards; ++i) {
-      arena_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(deliver_[i].to)]++)] =
-          deliver_[i].rcv;
+    for (std::size_t i = shard_begin_[su]; i < shard_begin_[su + 1]; ++i) {
+      const Received& rcv = deliver_[i].rcv;
+      for_each_receiver(*graph_, deliver_[i], [&](Vertex to) {
+        arena_[static_cast<std::size_t>(
+            cursor[static_cast<std::size_t>(to)]++)] = rcv;
+      });
     }
   });
 

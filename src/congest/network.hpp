@@ -15,10 +15,16 @@
 // run on fixed, parameter-determined schedules exactly like the paper's).
 //
 // Storage is a pair of double-buffered flat arenas rather than per-vertex
-// queues: sends append to a contiguous staging buffer, and advance_round()
-// counting-sorts the round's delivery batch into a CSR-shaped arena (one
-// contiguous Received run per receiving vertex). All buffers are reused
-// across rounds, so round advancement performs no heap allocation once the
+// queues. A send appends one Staged record to a contiguous staging buffer;
+// a broadcast appends ONE record for all of its deg messages (recipient
+// kBroadcast), so staging costs O(1) per broadcast, not O(deg). The
+// per-edge cap of a broadcast is a stamp over the sender's contiguous CSR
+// slot range, and the meters still count deg messages and deg * size
+// words. advance_round() counting-sorts the round's delivery batch into a
+// CSR-shaped arena (one contiguous Received run per receiving vertex),
+// expanding each broadcast record straight into its receivers' runs by
+// walking the sender's CSR neighbours. All buffers are reused across
+// rounds, so round advancement performs no heap allocation once the
 // per-round traffic high-water mark has been reached. Sufficiently large
 // batches are counting-sorted in parallel on the execution thread pool,
 // with delivery order bit-identical to the serial pass.
@@ -28,7 +34,10 @@
 // the default Ideal model delivers everything exactly once next round (the
 // classic synchronous CONGEST semantics, bit-for-bit the pre-transport
 // engine); Faulty and Async inject seeded drops/duplicates and per-message
-// latencies. configure_transport() installs a model.
+// latencies. configure_transport() installs a model. Faulty and Async act
+// per message, so for every model but Ideal the network expands broadcast
+// records into per-neighbour Staged records, in staging order, just before
+// handing the round to the model.
 
 #include <cstddef>
 #include <cstdint>
@@ -81,8 +90,13 @@ struct Received {
   Message msg;
 };
 
+/// Recipient of a broadcast record: every neighbour of the sender.
+inline constexpr Vertex kBroadcast = -1;
+
 /// A staged message: recipient plus the Received it will become. The unit
-/// the transport layer (DeliveryModel) operates on.
+/// the transport layer (DeliveryModel) operates on. `to == kBroadcast`
+/// marks a broadcast record standing for one message to each neighbour of
+/// rcv.from, in ascending neighbour order.
 struct Staged {
   Vertex to = -1;
   Received rcv;
@@ -113,7 +127,9 @@ struct NetworkStats {
 /// Network::set_profile_sink (nullptr = profiling off, zero clock reads).
 /// Several programs run back to back on one network accumulate into the
 /// same sink; callers snapshot per-program deltas via operator- exactly
-/// like they do with Network::stats().
+/// like they do with Network::stats(). Next to the times the sink carries
+/// each run's traffic (its NetworkStats delta), so wall_s / messages is
+/// the task's ns/message.
 ///
 /// Measurement only: the profile never feeds algorithm output, and counts
 /// and results are bit-identical with profiling on or off.
@@ -126,6 +142,8 @@ struct StageTimes {
   double drain_s = 0;
   double wall_s = 0;  ///< total Scheduler::run wall time
   std::int64_t rounds = 0;
+  std::int64_t messages = 0;  ///< traffic the timed programs sent
+  std::int64_t words = 0;
 
   /// Sum of the attributed stages; wall_s minus this is untimed scheduler
   /// overhead (loop control, report assembly). The --profile acceptance
@@ -143,6 +161,8 @@ struct StageTimes {
     drain_s += o.drain_s;
     wall_s += o.wall_s;
     rounds += o.rounds;
+    messages += o.messages;
+    words += o.words;
     return *this;
   }
 
@@ -155,6 +175,8 @@ struct StageTimes {
     a.drain_s -= b.drain_s;
     a.wall_s -= b.wall_s;
     a.rounds -= b.rounds;
+    a.messages -= b.messages;
+    a.words -= b.words;
     return a;
   }
 };
@@ -223,7 +245,10 @@ class Network {
   /// same directed edge within one round.
   void send(Vertex from, Vertex to, const Message& msg);
 
-  /// Sends `msg` from `from` to every neighbour (one message per edge).
+  /// Sends `msg` from `from` to every neighbour (one message per edge),
+  /// staged as a single broadcast record. Throws CongestViolation if the
+  /// message exceeds kMaxWords or any of the sender's edges already carries
+  /// a message this round; on a throw nothing is staged.
   void broadcast(Vertex from, const Message& msg);
 
   /// Ends the current round: hands the staged sends to the delivery model
@@ -259,9 +284,7 @@ class Network {
   /// transport. A program must end with zero staged and zero in-flight
   /// messages (the Scheduler enforces / drains this): anything left here
   /// would silently leak into the next program run on the same network.
-  std::int64_t pending_messages() const noexcept {
-    return static_cast<std::int64_t>(pending_.size());
-  }
+  std::int64_t pending_messages() const noexcept { return pending_count_; }
 
   const NetworkStats& stats() const noexcept { return stats_; }
 
@@ -282,6 +305,10 @@ class Network {
  private:
   std::int64_t directed_edge_id(Vertex from, Vertex to) const;
 
+  /// Replaces each broadcast record in pending_ by its per-neighbour
+  /// records, keeping staging order (for per-message delivery models).
+  void expand_broadcasts();
+
   /// Counting-sorts deliver_ into the arena (receivers ascending, one
   /// contiguous run each, runs sorted by sender) and fills delivered_.
   void scatter_serial();
@@ -289,13 +316,15 @@ class Network {
   void sort_inbox_run(Vertex v);
 
   const Graph* graph_ = nullptr;
-  // Double-buffered arenas: sends of the current round append to pending_
-  // (flat, send order); advance_round() hands pending_ to the delivery
-  // model, which fills deliver_ (this round's batch), and counting-sorts
-  // deliver_ into arena_ (flat, CSR by receiver, addressed by
-  // inbox_begin_/inbox_count_).
+  // Double-buffered arenas: sends and broadcast records of the current
+  // round append to pending_ (flat, staging order); advance_round() hands
+  // pending_ to the delivery model, which fills deliver_ (this round's
+  // batch), and counting-sorts deliver_ into arena_ (flat, CSR by
+  // receiver, addressed by inbox_begin_/inbox_count_).
   std::vector<Staged> pending_;
   std::vector<Staged> deliver_;
+  std::vector<Staged> expanded_;              // scratch of expand_broadcasts
+  std::int64_t pending_count_ = 0;            // messages pending_ stands for
   std::vector<Received> arena_;
   std::vector<std::int64_t> inbox_begin_;     // per-vertex offset into arena_
   std::vector<std::int64_t> inbox_count_;     // per-vertex run length
@@ -320,8 +349,10 @@ class Network {
   int exec_threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;
   // Parallel counting-sort scratch, lazily sized on the first large batch:
-  // per-shard destination counts (doubling as write cursors) and touched
-  // lists, plus a round-stamped receiver dedup.
+  // message-weighted shard boundaries over deliver_, per-shard destination
+  // counts (doubling as write cursors) and touched lists, plus a
+  // round-stamped receiver dedup.
+  std::vector<std::size_t> shard_begin_;
   std::vector<std::vector<std::int64_t>> shard_count_;
   std::vector<std::vector<Vertex>> shard_touched_;
   std::vector<std::int64_t> receiver_stamp_;

@@ -129,4 +129,25 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Splits items [0, count) into `parts` contiguous chunks of about equal
+/// weight for a parallel_for: chunk p is [bounds[p], bounds[p + 1]).
+/// Chunk p ends once the running weight crosses (p + 1) / parts of `total`,
+/// the sum of weight(i) over all items, so one heavy item fills a chunk of
+/// its own instead of unbalancing a count-based split.
+template <typename WeightFn>
+void weighted_split(std::size_t count, std::size_t parts, std::int64_t total,
+                    WeightFn&& weight, std::vector<std::size_t>& bounds) {
+  bounds.assign(parts + 1, count);
+  bounds[0] = 0;
+  std::size_t next = 1;
+  std::int64_t cumulative = 0;
+  for (std::size_t i = 0; i < count && next < parts; ++i) {
+    cumulative += weight(i);
+    while (next < parts && cumulative * static_cast<std::int64_t>(parts) >=
+                               static_cast<std::int64_t>(next) * total) {
+      bounds[next++] = i + 1;
+    }
+  }
+}
+
 }  // namespace usne::util

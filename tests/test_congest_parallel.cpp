@@ -287,6 +287,69 @@ TEST(ParallelDeterminism, SendsStagedInOnRoundReplayIdentically) {
   }
 }
 
+/// Mixes broadcasts and sends inside the parallel fan-out: each round a
+/// third of the receivers broadcast their checksum, the rest reply to each
+/// sender. The staging outboxes hold one record per broadcast and replay it
+/// through Network::broadcast.
+class MixedEchoProgram final : public NodeProgram {
+ public:
+  MixedEchoProgram(Vertex n, std::int64_t rounds) : rounds_(rounds) {
+    acc_.assign(static_cast<std::size_t>(n), 0);
+  }
+
+  void init(Outbox& out) override {
+    for (Vertex v = 0; v < static_cast<Vertex>(acc_.size()); ++v) {
+      out.broadcast(v, Message::of(v + 1));
+    }
+  }
+
+  void on_round(std::int64_t round, Vertex v, std::span<const Received> inbox,
+                Outbox& out) override {
+    Word& acc = acc_[static_cast<std::size_t>(v)];
+    for (const Received& r : inbox) {
+      acc = (acc * 31 + r.msg.words[0] * (round + 1) + r.from) % 1000003;
+    }
+    if (round + 1 >= rounds_) return;
+    if ((v + round) % 3 == 0) {
+      out.broadcast(v, Message::of(acc, v));
+      return;
+    }
+    for (const Received& r : inbox) out.send(v, r.from, Message::of(acc));
+  }
+
+  bool done(std::int64_t next_round) const override {
+    return next_round >= rounds_;
+  }
+
+  const std::vector<Word>& acc() const noexcept { return acc_; }
+
+ private:
+  std::int64_t rounds_;
+  std::vector<Word> acc_;
+};
+
+TEST(ParallelDeterminism, BroadcastsStagedInOnRoundReplayIdentically) {
+  // ~8k messages per round: large enough for the sharded scatter too.
+  const Graph g = gen_barabasi_albert(1000, 4, 29);
+  std::vector<Word> expected_acc;
+  ScheduleReport expected_report;
+  for (const int threads : kThreadCounts) {
+    Network net(g);
+    net.set_execution_threads(threads);
+    MixedEchoProgram program(g.num_vertices(), 6);
+    const ScheduleReport report = Scheduler(net).run(program);
+    if (threads == 1) {
+      expected_acc = program.acc();
+      expected_report = report;
+      continue;
+    }
+    EXPECT_EQ(expected_acc, program.acc()) << "threads=" << threads;
+    EXPECT_EQ(expected_report.rounds, report.rounds);
+    EXPECT_EQ(expected_report.idle_rounds, report.idle_rounds);
+    expect_same_stats(expected_report.traffic, report.traffic, threads);
+  }
+}
+
 TEST(ParallelDeterminism, CapViolationStillThrowsUnderParallelReplay) {
   // Two vertices both message a common neighbour twice via staged sends:
   // the replay must run the same per-edge cap checks the serial engine

@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "congest/bfs_forest.hpp"
 #include "congest/detect.hpp"
+#include "congest/engine.hpp"
 #include "congest/flood.hpp"
 #include "congest/network.hpp"
+#include "congest/transport.hpp"
 #include "graph/generators.hpp"
 #include "path/bfs.hpp"
 #include "path/source_detection.hpp"
@@ -195,6 +200,159 @@ TEST(DetectCongest, PathTracing) {
   EXPECT_EQ(static_cast<Dist>(path.size()) - 1, det.distance_to(35, 0));
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     EXPECT_TRUE(g.has_edge(path[i], path[i + 1]));
+  }
+}
+
+/// Test-local naive Algorithm 2: a linear scan of v's known sources per
+/// message and a stride boundary that rescans every vertex's whole hit
+/// list. Same schedule and messages as detect_congest; the reference its
+/// traffic-proportional bookkeeping must reproduce exactly.
+class NaiveDetectProgram final : public NodeProgram {
+ public:
+  NaiveDetectProgram(Vertex n, std::vector<Vertex> sources, Dist delta,
+                     std::int64_t cap)
+      : n_(n), cap_(cap), total_rounds_(delta * cap) {
+    hits_.assign(static_cast<std::size_t>(n), {});
+    pending_.assign(static_cast<std::size_t>(n), {});
+    std::sort(sources.begin(), sources.end());
+    sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+    for (const Vertex s : sources) {
+      hits_[static_cast<std::size_t>(s)].push_back({s, 0, -1});
+      pending_[static_cast<std::size_t>(s)].push_back({s, 0, -1});
+      active_.push_back(s);
+    }
+  }
+
+  void init(Outbox& out) override {
+    if (total_rounds_ > 0) send_entries(0, out);
+  }
+
+  void on_round(std::int64_t, Vertex v, std::span<const Received> inbox,
+                Outbox&) override {
+    auto& known = hits_[static_cast<std::size_t>(v)];
+    for (const Received& r : inbox) {
+      const Vertex src = static_cast<Vertex>(r.msg.words[1]);
+      const bool duplicate =
+          std::any_of(known.begin(), known.end(),
+                      [&](const SourceHit& h) { return h.source == src; });
+      if (!duplicate) known.push_back({src, r.msg.words[2] + 1, r.from});
+    }
+  }
+
+  void end_round(std::int64_t round, Outbox& out) override {
+    if (round + 1 >= total_rounds_) return;
+    const std::int64_t t = round % cap_;
+    if (t == cap_ - 1) {
+      stride_boundary(round / cap_ + 1);
+      send_entries(0, out);
+    } else {
+      send_entries(t + 1, out);
+    }
+  }
+
+  bool done(std::int64_t next_round) const override {
+    return next_round >= total_rounds_;
+  }
+
+  std::vector<std::vector<SourceHit>> sorted_hits() const {
+    auto hits = hits_;
+    for (auto& known : hits) {
+      std::sort(known.begin(), known.end(),
+                [](const SourceHit& a, const SourceHit& b) {
+                  return a.dist != b.dist ? a.dist < b.dist
+                                          : a.source < b.source;
+                });
+    }
+    return hits;
+  }
+
+ private:
+  void send_entries(std::int64_t t, Outbox& out) {
+    for (const Vertex v : active_) {
+      const auto& list = pending_[static_cast<std::size_t>(v)];
+      if (static_cast<std::int64_t>(list.size()) > t) {
+        const SourceHit& h = list[static_cast<std::size_t>(t)];
+        out.broadcast(v, Message::of(4, h.source, h.dist));
+      }
+    }
+  }
+
+  void stride_boundary(Dist completed_stride) {
+    for (const Vertex v : active_) pending_[static_cast<std::size_t>(v)].clear();
+    active_.clear();
+    for (Vertex v = 0; v < n_; ++v) {
+      std::vector<SourceHit> fresh;
+      for (const SourceHit& h : hits_[static_cast<std::size_t>(v)]) {
+        if (h.dist == completed_stride) fresh.push_back(h);
+      }
+      if (fresh.empty()) continue;
+      std::sort(fresh.begin(), fresh.end(),
+                [](const SourceHit& a, const SourceHit& b) {
+                  return a.source < b.source;
+                });
+      if (static_cast<std::int64_t>(fresh.size()) > cap_) {
+        fresh.resize(static_cast<std::size_t>(cap_));
+      }
+      pending_[static_cast<std::size_t>(v)] = std::move(fresh);
+      active_.push_back(v);
+    }
+  }
+
+  Vertex n_;
+  std::int64_t cap_;
+  std::int64_t total_rounds_;
+  std::vector<std::vector<SourceHit>> hits_;
+  std::vector<std::vector<SourceHit>> pending_;
+  std::vector<Vertex> active_;
+};
+
+TEST(DetectCongest, CappedMatchesNaiveReference) {
+  // Hubs hear far more than cap sources per stride, so truncation, the
+  // per-vertex dedup and the stride-boundary bookkeeping all bite. Under
+  // the delaying and lossy transports late explore messages also arrive
+  // in later strides.
+  const Graph g = gen_barabasi_albert(600, 3, 41);
+  std::vector<Vertex> sources;
+  for (Vertex v = 0; v < 600; v += 5) sources.push_back(v);
+  const Dist delta = 5;
+  const std::int64_t cap = 4;  // < |sources| = 120
+
+  for (const TransportModel model :
+       {TransportModel::kIdeal, TransportModel::kFaulty,
+        TransportModel::kAsync}) {
+    TransportSpec spec;
+    spec.model = model;
+    spec.seed = 3;
+    spec.drop_p = model == TransportModel::kFaulty ? 0.1 : 0.0;
+    spec.dup_p = model == TransportModel::kFaulty ? 0.2 : 0.0;
+    spec.latency_max = model == TransportModel::kAsync ? 3 : 1;
+
+    Network ref_net(g);
+    ref_net.configure_transport(spec);
+    NaiveDetectProgram naive(g.num_vertices(), sources, delta, cap);
+    Scheduler(ref_net).run(naive);
+    const auto expected = naive.sorted_hits();
+
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(transport_model_name(model)) +
+                   " threads=" + std::to_string(threads));
+      Network net(g);
+      net.configure_transport(spec);
+      net.set_execution_threads(threads);
+      const DetectResult got = detect_congest(net, sources, delta, cap);
+      ASSERT_EQ(got.hits.size(), expected.size());
+      for (std::size_t v = 0; v < expected.size(); ++v) {
+        ASSERT_EQ(got.hits[v].size(), expected[v].size()) << "v=" << v;
+        for (std::size_t i = 0; i < expected[v].size(); ++i) {
+          EXPECT_EQ(got.hits[v][i].source, expected[v][i].source);
+          EXPECT_EQ(got.hits[v][i].dist, expected[v][i].dist);
+          EXPECT_EQ(got.hits[v][i].pred, expected[v][i].pred);
+        }
+      }
+      EXPECT_EQ(net.stats().rounds, ref_net.stats().rounds);
+      EXPECT_EQ(net.stats().messages, ref_net.stats().messages);
+      EXPECT_EQ(net.stats().words, ref_net.stats().words);
+    }
   }
 }
 
