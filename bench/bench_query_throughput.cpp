@@ -4,8 +4,8 @@
 // Claim: batched multi-threaded serving through serve::QueryEngine beats
 // the legacy serial oracle loop (single-entry SSSP cache, one query at a
 // time) by a wide margin on interleaved-source streams (zipf, uniform,
-// point_vs_all) — the sharded LRU cache pays one Dial SSSP per distinct
-// source where the single-entry cache thrashes. On a perfectly grouped
+// point_vs_all) — the sharded LRU cache pays one SSSP per distinct source
+// where the single-entry cache thrashes. On a perfectly grouped
 // stream the single-entry cache is already SSSP-optimal; the engine's
 // value there is thread-scaling and thread-safety, not fewer SSSPs (see
 // the interpretation note).

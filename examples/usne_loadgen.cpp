@@ -85,7 +85,7 @@ int run(int argc, char** argv) {
            {"rho", "verify: time exponent (default 0.3)"},
            {"seed", "verify: generator + build seed (default 2024)"},
            {"cache-mb", "verify: engine cache budget (default 64)"},
-           {"kernel", "verify: SSSP kernel dial|delta (default dial)"},
+           {"kernel", "verify: SSSP kernel dial|delta for H with cycles (default dial); an acyclic H is always served by the forest kernel"},
            {"json", "append the result row to FILE ('-' = stdout)"},
            {"scrape-metrics", "after the run, fetch the daemon's Prometheus metrics page to FILE ('-' = stdout)"}},
           /*allow_positional=*/false,

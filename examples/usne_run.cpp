@@ -308,7 +308,7 @@ int run(int argc, char** argv) {
            {"qps-threads", "query: serving lanes, 0 = hardware (default 1)"},
            {"cache-mb", "query: SSSP cache budget in MiB, <=0 off (default 64)"},
            {"cache-shards", "query: cache lock shards (default 16)"},
-           {"kernel", "query: SSSP kernel dial|delta (default dial)"},
+           {"kernel", "query: SSSP kernel dial|delta for H with cycles (default dial); an acyclic H is always served by the forest kernel"},
            {"delta", "query: delta-stepping bucket width, 0 = auto (default 0)"},
            {"degree-sort", "serve H degree-renumbered internally (default off)"},
            {"stretch-sample", "query: pairs stretch-checked vs BFS on G (default 100)"},

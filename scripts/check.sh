@@ -24,8 +24,12 @@
 #                              Finally the serve smoke: `usne_run query`
 #                              on two workloads must produce seed-stable
 #                              answer checksums run-to-run (multi-threaded
-#                              serving included), and bench_query_throughput
-#                              regenerates BENCH_serve.json — the throughput
+#                              serving included), every query record must
+#                              name the kernel its H calls for ("forest"
+#                              exactly when H is acyclic; the audit run's
+#                              spanning-tree H must be one), and
+#                              bench_query_throughput regenerates
+#                              BENCH_serve.json — the throughput
 #                              trajectory — whose row *count* and per-row
 #                              answer *checksums* must match the committed
 #                              file (wall times move with the hardware; the
@@ -313,6 +317,27 @@ for workload in zipf grouped; do
     fi
   done
   echo "serve ${workload}: checksum seed-stable across runs ($(json_field "${SMOKE_DIR}/serve.${workload}.1.json" checksum))"
+done
+# Kernel dispatch: an acyclic H (|H| = n - 1, since G is connected) must be
+# served by the forest kernel and an H with cycles by the --kernel default.
+# The audit query above serves a spanning-tree H, so a change that silently
+# falls back to Dial there fails here.
+for record in audit_query serve.zipf.1 serve.grouped.1; do
+  file="${SMOKE_DIR}/${record}.json"
+  n="$(json_field "${file}" n)"
+  edges="$(json_field "${file}" edges)"
+  kernel="$({ grep -o '"kernel": "[a-z]*"' "${file}" || true; } | head -n 1 | awk -F'"' '{print $4}')"
+  want=dial
+  if [ "${edges}" = "$((n - 1))" ]; then want=forest; fi
+  if [ "${record}" = audit_query ] && [ "${want}" != forest ]; then
+    echo "FAIL: ${record}: H has ${edges} edges on n=${n}, expected a spanning tree" >&2
+    exit 1
+  fi
+  if [ "${kernel}" != "${want}" ]; then
+    echo "FAIL: ${record}: |H|=${edges} on n=${n} served by '${kernel}', expected '${want}'" >&2
+    exit 1
+  fi
+  echo "serve ${record}: |H|=${edges} on n=${n} served by the ${kernel} kernel"
 done
 
 echo "== query throughput trajectory (BENCH_serve.json row-count diff) =="

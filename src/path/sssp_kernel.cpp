@@ -147,8 +147,8 @@ std::vector<Dist> dial_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
     frontier.clear();
     if (settled == n) break;
   }
-  // Early settled-exit may leave stale entries in the ring; clear them so
-  // the next query's reset_ring stays O(slots).
+  // Leftover ring entries after the settled == n exit are all stale; the
+  // next call's reset_ring clears every slot before it starts.
 
   // Postconditions. Always-on: the ring settles each vertex at most once,
   // so settling more than n of them means the ring slots collided (the
@@ -161,6 +161,107 @@ std::vector<Dist> dial_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
                  std::to_string(dist[static_cast<std::size_t>(source)]) + ")");
   USNE_AUDIT(inv::Category::kSssp, sssp_fixpoint_ok(g, source, dist),
              "dial result is not a shortest-path fixpoint from source " +
+                 std::to_string(source));
+  return dist;
+}
+
+std::optional<ForestIndex> ForestIndex::build(const WeightedGraph::Csr& g) {
+  static_assert(sizeof(Node) == 24, "the index costs 24 B per vertex");
+  const std::int64_t arcs = g.num_arcs();
+  if (arcs / 2 > std::max<std::int64_t>(g.n - 1, 0)) return std::nullopt;
+
+  ForestIndex index;
+  const std::size_t n = static_cast<std::size_t>(g.n);
+  index.preorder_.resize(n);
+  index.position_.assign(n, -1);
+  // One frame per vertex on the current root path: its position and the
+  // next arc of its row to look at.
+  struct Frame {
+    Vertex pos;
+    std::int64_t next_arc;
+  };
+  std::vector<Frame> stack;
+  Vertex next = 0;
+  std::int64_t components = 0;
+  const auto enter = [&](Vertex v, Vertex parent, Vertex tree_begin, Dist w) {
+    index.position_[static_cast<std::size_t>(v)] = next;
+    index.preorder_[static_cast<std::size_t>(next)] = {v, parent, 0,
+                                                       tree_begin, w};
+    stack.push_back({next, g.offsets[v]});
+    ++next;
+  };
+  for (Vertex root = 0; root < g.n; ++root) {
+    if (index.position_[static_cast<std::size_t>(root)] >= 0) continue;
+    ++components;
+    const Vertex tree_begin = next;
+    enter(root, -1, tree_begin, 0);
+    while (!stack.empty()) {
+      Frame& top = stack.back();
+      Node& node = index.preorder_[static_cast<std::size_t>(top.pos)];
+      if (top.next_arc == g.offsets[node.vertex + 1]) {
+        node.subtree_end = next;
+        stack.pop_back();
+        continue;
+      }
+      const WeightedGraph::Arc arc = g.arcs[top.next_arc++];
+      if (index.position_[static_cast<std::size_t>(arc.to)] < 0) {
+        enter(arc.to, top.pos, tree_begin, arc.w);  // may invalidate top
+      }
+    }
+  }
+  // A spanning forest of c trees has n - c edges; any arc beyond those
+  // closes a cycle (or duplicates an edge).
+  if (arcs != 2 * (static_cast<std::int64_t>(g.n) - components)) {
+    return std::nullopt;
+  }
+  return index;
+}
+
+std::vector<Dist> forest_sssp_csr(const WeightedGraph::Csr& g,
+                                  const ForestIndex& index, Vertex source) {
+  const std::size_t n = static_cast<std::size_t>(g.n);
+  std::vector<Dist> dist(n, kInfDist);
+  if (n == 0) return dist;
+  const ForestIndex::Node* nodes = index.preorder_.data();
+  const Vertex p = index.position_[static_cast<std::size_t>(source)];
+
+  // The source's ancestors lie on its root path, which the preorder pass
+  // below would walk the wrong way (parent before child): set them first.
+  dist[static_cast<std::size_t>(source)] = 0;
+  std::int64_t written = 1;
+  for (Vertex at = p; nodes[at].parent >= 0; at = nodes[at].parent) {
+    const Dist d = dist[static_cast<std::size_t>(nodes[at].vertex)];
+    dist[static_cast<std::size_t>(nodes[nodes[at].parent].vertex)] =
+        d + nodes[at].up_w;
+    ++written;
+  }
+
+  // Everything else in the tree is reached through its parent, which
+  // preorder visits first. Position i is an ancestor of p (or p itself)
+  // exactly when p falls inside i's subtree.
+  const Vertex begin = nodes[p].tree_begin;
+  const Vertex end = nodes[begin].subtree_end;
+  for (Vertex i = begin; i < end; ++i) {
+    const ForestIndex::Node& node = nodes[i];
+    if (i <= p && p < node.subtree_end) continue;
+    dist[static_cast<std::size_t>(node.vertex)] =
+        dist[static_cast<std::size_t>(nodes[node.parent].vertex)] + node.up_w;
+    ++written;
+  }
+
+  // Postconditions, the same pair as the ring kernels. Always-on: the
+  // source reads 0 and every vertex of its tree was written exactly once
+  // (a corrupt index would skip or repeat positions). Audit: exactness,
+  // checked against every arc of g — which also catches an index that was
+  // not built from g.
+  USNE_CHECK(inv::Category::kSssp,
+             written == end - begin &&
+                 dist[static_cast<std::size_t>(source)] == 0,
+             "forest pass wrote " + std::to_string(written) + " of " +
+                 std::to_string(end - begin) + " tree vertices (source dist " +
+                 std::to_string(dist[static_cast<std::size_t>(source)]) + ")");
+  USNE_AUDIT(inv::Category::kSssp, sssp_fixpoint_ok(g, source, dist),
+             "forest result is not a shortest-path fixpoint from source " +
                  std::to_string(source));
   return dist;
 }

@@ -19,11 +19,17 @@
 //  * reusable per-thread scratch (SsspScratch) — steady-state queries
 //    allocate only the result vector they hand to the cache.
 //
+// An acyclic H — the ultra-sparse emulator at its sparsest, |H| = n - c for
+// c components, is a weighted spanning forest — needs no priority queue at
+// all: forest_sssp_csr walks a ForestIndex (the forest in DFS preorder) once,
+// setting each vertex's distance from its parent's, in O(n) with no scratch.
+//
 // Every kernel computes exact distances on H, so results are bit-identical
 // to dial_sssp / dijkstra on every workload — enforced by
 // tests/test_serve_kernels.cpp and the bench_scale checksum gates.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,6 +89,45 @@ std::vector<Dist> dial_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
 /// >= the largest edge weight in g.
 std::vector<Dist> delta_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
                                  Dist max_w, Dist delta, SsspScratch& scratch);
+
+/// A forest in DFS preorder: the O(n) single-source index for an acyclic H.
+/// Position i of the preorder holds one vertex with its parent's position,
+/// the end of its subtree (positions [i, subtree_end) are i and its
+/// descendants), the first position of its tree and the weight of the edge
+/// up to its parent — 24 B per vertex, plus a 4 B vertex -> position map.
+/// Immutable once built, so any number of serving threads share one.
+class ForestIndex {
+ public:
+  /// Indexes g in O(n + arcs) by an iterative DFS (no recursion, so path-
+  /// deep trees are fine) from each unvisited root in ascending vertex order.
+  /// Returns nullopt when g is not a forest: first by the O(1) edge count
+  /// (arcs / 2 > n - 1), else because arcs / 2 != n - components, which also
+  /// rejects duplicate arcs.
+  static std::optional<ForestIndex> build(const WeightedGraph::Csr& g);
+
+ private:
+  friend std::vector<Dist> forest_sssp_csr(const WeightedGraph::Csr& g,
+                                           const ForestIndex& index,
+                                           Vertex source);
+
+  struct Node {
+    Vertex vertex = 0;
+    Vertex parent = -1;       ///< parent's position; -1 at a root
+    Vertex subtree_end = 0;   ///< one past the last descendant's position
+    Vertex tree_begin = 0;    ///< position of this vertex's root
+    Dist up_w = 0;            ///< weight of the edge to the parent
+  };
+
+  std::vector<Node> preorder_;
+  std::vector<Vertex> position_;  ///< vertex -> preorder position
+};
+
+/// Exact SSSP on a forest: walks up the source's ancestor chain, then makes
+/// one preorder pass over the source's tree writing dist[v] = dist[parent] +
+/// w straight into the result. Vertices of other trees read kInfDist.
+/// `index` must have been built from g.
+std::vector<Dist> forest_sssp_csr(const WeightedGraph::Csr& g,
+                                  const ForestIndex& index, Vertex source);
 
 /// Largest edge weight in g (0 for an edgeless graph). One O(E) scan; the
 /// engine computes it once at construction.

@@ -4,6 +4,9 @@
 #include <condition_variable>
 #include <cstdio>
 #include <list>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -267,6 +270,10 @@ QueryEngine::QueryEngine(WeightedGraph h, double alpha, Dist beta,
   }
   max_w_ = max_edge_weight(csr_);
   delta_ = options_.delta > 0 ? options_.delta : auto_delta(csr_);
+  // An acyclic H (the sparsest emulators are spanning trees) is served by
+  // one preorder pass; options_.kernel only picks the kernel for H with
+  // cycles.
+  forest_ = ForestIndex::build(csr_);
 }
 
 QueryEngine::QueryEngine(const BuildOutput& built, ServeOptions options)
@@ -274,23 +281,38 @@ QueryEngine::QueryEngine(const BuildOutput& built, ServeOptions options)
                   built.has_guarantee ? built.beta : 0,
                   resolve_renumber(options, built.degree_sort)) {}
 
-QueryEngine::~QueryEngine() = default;
+QueryEngine::~QueryEngine() {
+  // The cache's vectors were allocated by whichever threads served the
+  // misses, so their memory sits in those threads' malloc arenas, and
+  // glibc keeps freed arena pages resident. A process that replaces
+  // engines (a daemon reload, a benchmark rebuilding its stack) would
+  // otherwise hold each arena's high-water mark for good; hand the pages
+  // back to the OS once the cache is gone.
+  cache_.reset();
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
 
 const char* QueryEngine::kernel_name() const noexcept {
-  return sssp_kernel_name(options_.kernel);
+  return forest_ ? "forest" : sssp_kernel_name(options_.kernel);
 }
 
 std::vector<Dist> QueryEngine::compute_sssp(Vertex source) const {
   USNE_TRACE_SPAN("serve.sssp_kernel");
   sssp_runs_.fetch_add(1, std::memory_order_relaxed);
-  thread_local SsspScratch scratch;
   const bool permuted = renumbered();
   const Vertex s =
       permuted ? new_of_old_[static_cast<std::size_t>(source)] : source;
-  std::vector<Dist> dist =
-      options_.kernel == SsspKernel::kDelta
-          ? delta_sssp_csr(csr_, s, max_w_, delta_, scratch)
-          : dial_sssp_csr(csr_, s, max_w_, scratch);
+  std::vector<Dist> dist;
+  if (forest_) {
+    dist = forest_sssp_csr(csr_, *forest_, s);
+  } else {
+    thread_local SsspScratch scratch;
+    dist = options_.kernel == SsspKernel::kDelta
+               ? delta_sssp_csr(csr_, s, max_w_, delta_, scratch)
+               : dial_sssp_csr(csr_, s, max_w_, scratch);
+  }
   if (!permuted) return dist;
   // Map back to original vertex ids: everything outside this function —
   // cache keys, answers, checksums, stretch checks — is renumbering-blind.

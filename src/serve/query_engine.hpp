@@ -11,8 +11,12 @@
 //
 //   d_G(u,v) <= d <= alpha * d_G(u,v) + beta.
 //
-// The per-query workhorse is Dial's bucket-queue SSSP on H (path/dijkstra.hpp)
-// — per-query cost depends on |H| ~ n, never on |E(G)|. On top of it sits a
+// The per-query workhorse is an exact SSSP kernel on H (path/sssp_kernel.hpp)
+// — per-query cost depends on |H| ~ n, never on |E(G)|. When H is acyclic
+// (at its sparsest the emulator is a weighted spanning tree) that kernel is
+// one preorder pass over a ForestIndex built at construction; H with cycles
+// runs the ServeOptions::kernel bucket queue (Dial or delta-stepping). The
+// choice is a property of H, not an option. On top of it sits a
 // sharded LRU cache of per-source SSSP vectors: shards are locked
 // independently, so a query stream with source locality costs one SSSP per
 // hot source regardless of how many threads are serving, and concurrent
@@ -27,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -96,9 +101,10 @@ struct ServeOptions {
   /// cache_mb). With 0 entries the cache is disabled.
   std::int64_t cache_entries_per_shard = -1;
 
-  /// Per-query SSSP kernel (path/sssp_kernel.hpp). Both are exact on H, so
-  /// answers are bit-identical; kDelta wins at scale on weighted emulators,
-  /// kDial remains the reference.
+  /// Per-query SSSP kernel (path/sssp_kernel.hpp) for H with cycles; an
+  /// acyclic H is always served by the forest kernel. All are exact on H,
+  /// so answers are bit-identical; kDelta wins at scale on weighted
+  /// emulators, kDial remains the reference.
   SsspKernel kernel = SsspKernel::kDial;
 
   /// Delta-stepping bucket width (power of two; 0 = auto from the mean
@@ -217,7 +223,8 @@ class QueryEngine {
   double alpha() const noexcept { return alpha_; }
   Dist beta() const noexcept { return beta_; }
 
-  /// Kernel the engine dispatches to ("dial" | "delta") and whether its
+  /// Kernel the engine dispatches to ("forest" when H is acyclic, else
+  /// "dial" | "delta" per ServeOptions::kernel) and whether its
   /// internal CSR is degree-sorted — what usne_run surfaces in the query
   /// JSON record.
   const char* kernel_name() const noexcept;
@@ -245,6 +252,7 @@ class QueryEngine {
   std::vector<WeightedGraph::Arc> perm_arcs_;
   Dist max_w_ = 0;
   Dist delta_ = 1;
+  std::optional<ForestIndex> forest_;  // set iff csr_ is acyclic
 
   std::unique_ptr<Cache> cache_;
   mutable std::atomic<std::int64_t> sssp_runs_{0};
