@@ -30,7 +30,7 @@
 
 #include "api/build.hpp"
 #include "bench_common.hpp"
-#include "path/dijkstra.hpp"
+#include "path/sssp_kernel.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/stats.hpp"
 #include "serve/workload.hpp"
@@ -39,18 +39,19 @@ namespace usne {
 namespace {
 
 /// The pre-serve oracle loop, verbatim semantics: one mutable single-entry
-/// SSSP cache, queries answered one at a time on one thread. The baseline
-/// every engine row is measured against.
+/// SSSP cache, queries answered one at a time on one thread, each SSSP a
+/// Dial over all of H. The baseline every engine row is measured against.
 class LegacySerialOracle {
  public:
-  explicit LegacySerialOracle(const WeightedGraph& h) : h_(&h) {}
+  explicit LegacySerialOracle(const WeightedGraph& h)
+      : csr_(h.csr()), max_w_(max_edge_weight(csr_)) {}
 
   Dist query(Vertex u, Vertex v) {
     if (cached_source_ && *cached_source_ == v) {
       return cached_dist_[static_cast<std::size_t>(u)];
     }
     if (!cached_source_ || *cached_source_ != u) {
-      cached_dist_ = dial_sssp(*h_, u);
+      cached_dist_ = dial_sssp_csr(csr_, u, max_w_, scratch_);
       cached_source_ = u;
       ++sssp_runs_;
     }
@@ -61,13 +62,15 @@ class LegacySerialOracle {
   /// to the same checksum the engine's batch records.
   Dist query_all_checksum(Vertex u) {
     ++sssp_runs_;
-    return serve::checksum_fold(dial_sssp(*h_, u));
+    return serve::checksum_fold(dial_sssp_csr(csr_, u, max_w_, scratch_));
   }
 
   std::int64_t sssp_runs() const { return sssp_runs_; }
 
  private:
-  const WeightedGraph* h_;
+  WeightedGraph::Csr csr_;
+  Dist max_w_;
+  SsspScratch scratch_;
   std::optional<Vertex> cached_source_;
   std::vector<Dist> cached_dist_;
   std::int64_t sssp_runs_ = 0;

@@ -85,7 +85,7 @@ int run(int argc, char** argv) {
            {"rho", "verify: time exponent (default 0.3)"},
            {"seed", "verify: generator + build seed (default 2024)"},
            {"cache-mb", "verify: engine cache budget (default 64)"},
-           {"kernel", "verify: SSSP kernel dial|delta for H with cycles (default dial); an acyclic H is always served by the forest kernel"},
+           {"kernel", "verify: SSSP kernel dial|delta when the core of H (ends of its non-tree edges and their tree ancestors) exceeds n/2 vertices (default dial); otherwise the forest pass serves H"},
            {"json", "append the result row to FILE ('-' = stdout)"},
            {"scrape-metrics", "after the run, fetch the daemon's Prometheus metrics page to FILE ('-' = stdout)"}},
           /*allow_positional=*/false,

@@ -217,6 +217,7 @@ int run_query(const usne::Cli& cli, const usne::Graph& g,
             << " evictions)\n"
             << "kernel: " << engine.kernel_name()
             << (engine.renumbered() ? " (degree-sorted)" : "")
+            << ", core: " << engine.core_vertices() << " vertices"
             << ", peak rss: " << format_double(util::peak_rss_mb(), 1)
             << " MiB\n";
   if (batch.latency) {
@@ -252,7 +253,8 @@ int run_query(const usne::Cli& cli, const usne::Graph& g,
            << ", \"qps_threads\": " << qps_threads
            << ", \"cache_mb\": " << format_double(options.cache_mb, 2)
            << ", \"kernel\": \"" << engine.kernel_name()
-           << "\", \"degree_sort\": " << (engine.renumbered() ? 1 : 0)
+           << "\", \"core_vertices\": " << engine.core_vertices()
+           << ", \"degree_sort\": " << (engine.renumbered() ? 1 : 0)
            << ", \"peak_rss_mb\": " << format_double(util::peak_rss_mb(), 1)
            << ", \"edges\": " << built.h().num_edges()
            << ", \"serve\": " << batch.stats_json()
@@ -308,7 +310,7 @@ int run(int argc, char** argv) {
            {"qps-threads", "query: serving lanes, 0 = hardware (default 1)"},
            {"cache-mb", "query: SSSP cache budget in MiB, <=0 off (default 64)"},
            {"cache-shards", "query: cache lock shards (default 16)"},
-           {"kernel", "query: SSSP kernel dial|delta for H with cycles (default dial); an acyclic H is always served by the forest kernel"},
+           {"kernel", "query: SSSP kernel dial|delta when the core of H (ends of its non-tree edges and their tree ancestors) exceeds n/2 vertices (default dial); otherwise the forest pass serves H"},
            {"delta", "query: delta-stepping bucket width, 0 = auto (default 0)"},
            {"degree-sort", "serve H degree-renumbered internally (default off)"},
            {"stretch-sample", "query: pairs stretch-checked vs BFS on G (default 100)"},

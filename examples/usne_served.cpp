@@ -88,7 +88,7 @@ int run(int argc, char** argv) {
            {"degree-sort", "serve H degree-renumbered internally (default off)"},
            {"cache-mb", "SSSP cache budget in MiB, <=0 off (default 64)"},
            {"cache-shards", "cache lock shards (default 16)"},
-           {"kernel", "SSSP kernel dial|delta for H with cycles (default dial); an acyclic H is always served by the forest kernel"},
+           {"kernel", "SSSP kernel dial|delta when the core of H (ends of its non-tree edges and their tree ancestors) exceeds n/2 vertices (default dial); otherwise the forest pass serves H"},
            {"delta", "delta-stepping bucket width, 0 = auto (default 0)"},
            {"host", "listen address (default 127.0.0.1)"},
            {"port", "TCP port, 0 = ephemeral (default 0)"},

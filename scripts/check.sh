@@ -26,8 +26,10 @@
 #                              answer checksums run-to-run (multi-threaded
 #                              serving included), every query record must
 #                              name the kernel its H calls for ("forest"
-#                              exactly when H is acyclic; the audit run's
-#                              spanning-tree H must be one), and
+#                              exactly when H is acyclic, "treecore" when
+#                              its core holds at most n/2 vertices; the
+#                              audit runs' H must be a spanning tree and a
+#                              tree plus a small core), and
 #                              bench_query_throughput regenerates
 #                              BENCH_serve.json — the throughput
 #                              trajectory — whose row *count* and per-row
@@ -209,8 +211,15 @@ USNE_AUDIT=1 ./build/usne_run query --algo emulator_fast --family er \
   --n 256 --kappa 4 --rho 0.3 --seed 2024 --workload zipf --queries 500 \
   --workload-seed 42 --qps-threads 2 --cache-mb 8 \
   --json "${SMOKE_DIR}/audit_query.json" >/dev/null
+# emulator_congest at kappa 8 on this graph is a spanning tree plus a few
+# edges, so this run exercises the forest-plus-core kernel under audits.
+USNE_AUDIT=1 ./build/usne_run query --algo emulator_congest --family er \
+  --n 2048 --kappa 8 --seed 1 --workload zipf --queries 2000 \
+  --workload-seed 42 --qps-threads 2 --cache-mb 8 \
+  --json "${SMOKE_DIR}/audit_core_query.json" >/dev/null
 for probe in "audit_build.json csr" "audit_query.json csr" \
-             "audit_query.json serve_cache" "audit_query.json sssp"; do
+             "audit_query.json serve_cache" "audit_query.json sssp" \
+             "audit_core_query.json sssp"; do
   file="${probe%% *}"; category="${probe##* }"
   counts="$(grep -o "\"${category}\": {\"checked\": [0-9]*, \"fired\": [0-9]*}" \
     "${SMOKE_DIR}/${file}" || true)"
@@ -229,7 +238,7 @@ if grep -q '"invariants"' "${SMOKE_DIR}/emulator_fast.json"; then
   echo "FAIL: audits-off usne_run record carries an invariants field" >&2
   exit 1
 fi
-echo "invariant counters: csr/serve_cache/sssp checked > 0, zero firings"
+echo "invariant counters: csr/serve_cache/sssp (forest and core kernels) checked > 0, zero firings"
 
 echo "== transport smoke (ideal parity + seeded reproducibility) =="
 # For the CONGEST constructions: an explicit --transport ideal run must
@@ -319,25 +328,45 @@ for workload in zipf grouped; do
   echo "serve ${workload}: checksum seed-stable across runs ($(json_field "${SMOKE_DIR}/serve.${workload}.1.json" checksum))"
 done
 # Kernel dispatch: an acyclic H (|H| = n - 1, since G is connected) must be
-# served by the forest kernel and an H with cycles by the --kernel default.
-# The audit query above serves a spanning-tree H, so a change that silently
-# falls back to Dial there fails here.
-for record in audit_query serve.zipf.1 serve.grouped.1; do
+# served by the forest kernel (and have an empty core), any other H whose
+# core holds at most n / 2 vertices by the core kernel, and the rest by the
+# --kernel default. The audit query above serves a spanning-tree H and the
+# core audit query a tree plus a few edges, so a change that silently falls
+# back to Dial on either fails here.
+for record in audit_query audit_core_query serve.zipf.1 serve.grouped.1; do
   file="${SMOKE_DIR}/${record}.json"
   n="$(json_field "${file}" n)"
   edges="$(json_field "${file}" edges)"
+  core="$(json_field "${file}" core_vertices)"
   kernel="$({ grep -o '"kernel": "[a-z]*"' "${file}" || true; } | head -n 1 | awk -F'"' '{print $4}')"
+  if [ -z "${core}" ]; then
+    echo "FAIL: ${record}: query record carries no core_vertices" >&2
+    exit 1
+  fi
   want=dial
-  if [ "${edges}" = "$((n - 1))" ]; then want=forest; fi
-  if [ "${record}" = audit_query ] && [ "${want}" != forest ]; then
-    echo "FAIL: ${record}: H has ${edges} edges on n=${n}, expected a spanning tree" >&2
+  if [ "${edges}" = "$((n - 1))" ]; then
+    want=forest
+    if [ "${core}" != 0 ]; then
+      echo "FAIL: ${record}: spanning tree H reports a core of ${core} vertices" >&2
+      exit 1
+    fi
+  elif [ "$((2 * core))" -le "${n}" ]; then
+    want=treecore
+  fi
+  case "${record}" in
+    audit_query) expect=forest ;;
+    audit_core_query) expect=treecore ;;
+    *) expect="${want}" ;;
+  esac
+  if [ "${want}" != "${expect}" ]; then
+    echo "FAIL: ${record}: |H|=${edges}, core ${core} on n=${n} calls for '${want}'; this record must exercise '${expect}'" >&2
     exit 1
   fi
   if [ "${kernel}" != "${want}" ]; then
-    echo "FAIL: ${record}: |H|=${edges} on n=${n} served by '${kernel}', expected '${want}'" >&2
+    echo "FAIL: ${record}: |H|=${edges}, core ${core} on n=${n} served by '${kernel}', expected '${want}'" >&2
     exit 1
   fi
-  echo "serve ${record}: |H|=${edges} on n=${n} served by the ${kernel} kernel"
+  echo "serve ${record}: |H|=${edges}, core ${core} on n=${n} served by the ${kernel} kernel"
 done
 
 echo "== query throughput trajectory (BENCH_serve.json row-count diff) =="

@@ -7,8 +7,9 @@
 // Since the serve subsystem landed, this class is a thin compatibility
 // wrapper over serve::QueryEngine: preprocessing builds one emulator H
 // with ~n + o(n) edges (fast §3.3 builder), and queries are delegated to
-// the engine — an exact SSSP on H (one preorder pass when H is a forest,
-// Dial's bucket queue otherwise) behind a sharded LRU cache of per-source
+// the engine — an exact SSSP on H (a preorder pass plus a Dial on a small
+// core when H is a forest plus a few edges, Dial's bucket queue on all of H
+// otherwise) behind a sharded LRU cache of per-source
 // results. That replaces the old single-entry `mutable` cache,
 // which was mutated without synchronization and therefore unsafe to query
 // from two threads; every method here is now thread-safe. Every answer d

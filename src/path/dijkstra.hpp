@@ -24,12 +24,4 @@ std::vector<Dist> dijkstra_union(const WeightedGraph& h, const Graph& g,
 
 /// Point-to-point distance on a weighted graph (early-exit Dijkstra).
 Dist dijkstra_distance(const WeightedGraph& h, Vertex source, Vertex target);
-
-/// Dial's algorithm: single-source shortest paths with a bucket queue,
-/// O(V + E + max_distance). The right tool for emulators, whose weights are
-/// small integers (graph distances bounded by the delta_i thresholds) — it
-/// removes Dijkstra's heap log-factor and makes distance queries on an
-/// ultra-sparse H genuinely cheaper than BFS on a dense G (bench E8).
-std::vector<Dist> dial_sssp(const WeightedGraph& h, Vertex source);
-
 }  // namespace usne

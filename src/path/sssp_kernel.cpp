@@ -165,36 +165,45 @@ std::vector<Dist> dial_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
   return dist;
 }
 
-std::optional<ForestIndex> ForestIndex::build(const WeightedGraph::Csr& g) {
+std::optional<ForestIndex> ForestIndex::build(const WeightedGraph::Csr& g,
+                                              Vertex max_core,
+                                              Vertex* core_vertices) {
   static_assert(sizeof(Node) == 24, "the index costs 24 B per vertex");
-  const std::int64_t arcs = g.num_arcs();
-  if (arcs / 2 > std::max<std::int64_t>(g.n - 1, 0)) return std::nullopt;
-
   ForestIndex index;
   const std::size_t n = static_cast<std::size_t>(g.n);
   index.preorder_.resize(n);
   index.position_.assign(n, -1);
-  // One frame per vertex on the current root path: its position and the
-  // next arc of its row to look at.
+  // One frame per vertex on the current root path: its position, the next
+  // arc of its row to look at, and whether the arc back up the tree edge
+  // has been passed over yet (a second arc to the parent is a duplicate
+  // edge, i.e. a 2-cycle, so it makes both ends portals).
   struct Frame {
     Vertex pos;
+    bool parent_arc_seen;
     std::int64_t next_arc;
   };
   std::vector<Frame> stack;
   Vertex next = 0;
-  std::int64_t components = 0;
-  const auto enter = [&](Vertex v, Vertex parent, Vertex tree_begin, Dist w) {
+  // The core: every portal and its ancestors, marked (core = 0; ids come
+  // later) as soon as the DFS meets a non-tree arc. Each walk stops at the
+  // first vertex already marked, so marking costs O(|S|) in all.
+  Vertex core = 0;
+  const auto mark_core = [&](Vertex at) {
+    for (; at >= 0 && index.preorder_[static_cast<std::size_t>(at)].core < 0;
+         at = index.preorder_[static_cast<std::size_t>(at)].parent) {
+      index.preorder_[static_cast<std::size_t>(at)].core = 0;
+      ++core;
+    }
+  };
+  const auto enter = [&](Vertex v, Vertex parent, Dist w) {
     index.position_[static_cast<std::size_t>(v)] = next;
-    index.preorder_[static_cast<std::size_t>(next)] = {v, parent, 0,
-                                                       tree_begin, w};
-    stack.push_back({next, g.offsets[v]});
+    index.preorder_[static_cast<std::size_t>(next)] = {v, parent, 0, -1, w};
+    stack.push_back({next, parent < 0, g.offsets[v]});
     ++next;
   };
   for (Vertex root = 0; root < g.n; ++root) {
     if (index.position_[static_cast<std::size_t>(root)] >= 0) continue;
-    ++components;
-    const Vertex tree_begin = next;
-    enter(root, -1, tree_begin, 0);
+    enter(root, -1, 0);
     while (!stack.empty()) {
       Frame& top = stack.back();
       Node& node = index.preorder_[static_cast<std::size_t>(top.pos)];
@@ -204,21 +213,75 @@ std::optional<ForestIndex> ForestIndex::build(const WeightedGraph::Csr& g) {
         continue;
       }
       const WeightedGraph::Arc arc = g.arcs[top.next_arc++];
-      if (index.position_[static_cast<std::size_t>(arc.to)] < 0) {
-        enter(arc.to, top.pos, tree_begin, arc.w);  // may invalidate top
+      const Vertex to = index.position_[static_cast<std::size_t>(arc.to)];
+      if (to < 0) {
+        enter(arc.to, top.pos, arc.w);  // may invalidate top
+      } else if (to == node.parent && !top.parent_arc_seen) {
+        top.parent_arc_seen = true;
+      } else {
+        mark_core(top.pos);  // a non-tree arc: both ends are portals
+        mark_core(to);
       }
     }
   }
-  // A spanning forest of c trees has n - c edges; any arc beyond those
-  // closes a cycle (or duplicates an edge).
-  if (arcs != 2 * (static_cast<std::int64_t>(g.n) - components)) {
-    return std::nullopt;
+  if (core_vertices != nullptr) *core_vertices = core;
+  if (core > max_core) return std::nullopt;
+
+  // Core ids, trees and pendant ranges, in preorder. Inside a tree with a
+  // core, a position off the core starts a pendant subtree (its parent is
+  // in the core), which the scan records as a range and jumps over.
+  index.core_position_.reserve(static_cast<std::size_t>(core));
+  index.core_tree_.reserve(static_cast<std::size_t>(core));
+  for (Vertex root = 0; root < g.n;) {
+    const Vertex tree_end =
+        index.preorder_[static_cast<std::size_t>(root)].subtree_end;
+    if (index.preorder_[static_cast<std::size_t>(root)].core < 0) {
+      root = tree_end;  // no core: the whole tree is one pendant range
+      continue;
+    }
+    CoreTree tree;
+    tree.core_begin = static_cast<Vertex>(index.core_position_.size());
+    tree.range_begin = static_cast<Vertex>(index.ranges_.size());
+    for (Vertex i = root; i < tree_end;) {
+      Node& node = index.preorder_[static_cast<std::size_t>(i)];
+      if (node.core < 0) {
+        index.ranges_.push_back({i, node.subtree_end});
+        i = node.subtree_end;
+        continue;
+      }
+      node.core = static_cast<Vertex>(index.core_position_.size());
+      index.core_position_.push_back(i);
+      index.core_tree_.push_back(static_cast<Vertex>(index.trees_.size()));
+      ++i;
+    }
+    tree.core_end = static_cast<Vertex>(index.core_position_.size());
+    tree.range_end = static_cast<Vertex>(index.ranges_.size());
+    index.trees_.push_back(tree);
+    root = tree_end;
+  }
+
+  // The core CSR: every arc of g between two core vertices, duplicates
+  // included, with heads renamed to core ids.
+  index.core_offsets_.assign(static_cast<std::size_t>(core) + 1, 0);
+  for (Vertex c = 0; c < core; ++c) {
+    const Node& node = index.preorder_[static_cast<std::size_t>(
+        index.core_position_[static_cast<std::size_t>(c)])];
+    for (const auto& arc : g.row(node.vertex)) {
+      const Vertex head = index.preorder_[static_cast<std::size_t>(
+          index.position_[static_cast<std::size_t>(arc.to)])].core;
+      if (head < 0) continue;
+      index.core_arcs_.push_back({head, arc.w});
+      index.core_max_w_ = std::max(index.core_max_w_, arc.w);
+    }
+    index.core_offsets_[static_cast<std::size_t>(c) + 1] =
+        static_cast<std::int64_t>(index.core_arcs_.size());
   }
   return index;
 }
 
 std::vector<Dist> forest_sssp_csr(const WeightedGraph::Csr& g,
-                                  const ForestIndex& index, Vertex source) {
+                                  const ForestIndex& index, Vertex source,
+                                  SsspScratch& scratch) {
   const std::size_t n = static_cast<std::size_t>(g.n);
   std::vector<Dist> dist(n, kInfDist);
   if (n == 0) return dist;
@@ -226,10 +289,12 @@ std::vector<Dist> forest_sssp_csr(const WeightedGraph::Csr& g,
   const Vertex p = index.position_[static_cast<std::size_t>(source)];
 
   // The source's ancestors lie on its root path, which the preorder pass
-  // below would walk the wrong way (parent before child): set them first.
+  // below would walk the wrong way (parent before child): set them first,
+  // up to the first core vertex (or the root of a tree without a core).
   dist[static_cast<std::size_t>(source)] = 0;
   std::int64_t written = 1;
-  for (Vertex at = p; nodes[at].parent >= 0; at = nodes[at].parent) {
+  Vertex at = p;
+  for (; nodes[at].core < 0 && nodes[at].parent >= 0; at = nodes[at].parent) {
     const Dist d = dist[static_cast<std::size_t>(nodes[at].vertex)];
     dist[static_cast<std::size_t>(nodes[nodes[at].parent].vertex)] =
         d + nodes[at].up_w;
@@ -239,26 +304,61 @@ std::vector<Dist> forest_sssp_csr(const WeightedGraph::Csr& g,
   // Everything else in the tree is reached through its parent, which
   // preorder visits first. Position i is an ancestor of p (or p itself)
   // exactly when p falls inside i's subtree.
-  const Vertex begin = nodes[p].tree_begin;
-  const Vertex end = nodes[begin].subtree_end;
-  for (Vertex i = begin; i < end; ++i) {
-    const ForestIndex::Node& node = nodes[i];
-    if (i <= p && p < node.subtree_end) continue;
-    dist[static_cast<std::size_t>(node.vertex)] =
-        dist[static_cast<std::size_t>(nodes[node.parent].vertex)] + node.up_w;
-    ++written;
+  const auto pass = [&](Vertex begin, Vertex end) {
+    for (Vertex i = begin; i < end; ++i) {
+      const ForestIndex::Node& node = nodes[i];
+      if (i <= p && p < node.subtree_end) continue;
+      dist[static_cast<std::size_t>(node.vertex)] =
+          dist[static_cast<std::size_t>(nodes[node.parent].vertex)] +
+          node.up_w;
+      ++written;
+    }
+  };
+
+  // Without a core the tree is one range from its root `at`. With one, the
+  // core distances are those from `at` inside the core, plus d(source, at),
+  // and each pendant subtree of the tree is one range.
+  Vertex root = at;
+  if (nodes[at].core < 0) {
+    pass(at, nodes[at].subtree_end);
+  } else {
+    const Vertex a = nodes[at].core;
+    const ForestIndex::CoreTree& tree =
+        index.trees_[static_cast<std::size_t>(
+            index.core_tree_[static_cast<std::size_t>(a)])];
+    const WeightedGraph::Csr core_csr{index.core_vertices(),
+                                      index.core_offsets_.data(),
+                                      index.core_arcs_.data()};
+    const std::vector<Dist> core_dist =
+        dial_sssp_csr(core_csr, a, index.core_max_w_, scratch);
+    const Dist base = dist[static_cast<std::size_t>(nodes[at].vertex)];
+    for (Vertex c = tree.core_begin; c < tree.core_end; ++c) {
+      if (c == a) continue;  // written by the walk (or the source itself)
+      const ForestIndex::Node& node =
+          nodes[index.core_position_[static_cast<std::size_t>(c)]];
+      dist[static_cast<std::size_t>(node.vertex)] =
+          base + core_dist[static_cast<std::size_t>(c)];
+      ++written;
+    }
+    for (Vertex r = tree.range_begin; r < tree.range_end; ++r) {
+      const ForestIndex::Range& range =
+          index.ranges_[static_cast<std::size_t>(r)];
+      pass(range.begin, range.end);
+    }
+    root = index.core_position_[static_cast<std::size_t>(tree.core_begin)];
   }
 
   // Postconditions, the same pair as the ring kernels. Always-on: the
   // source reads 0 and every vertex of its tree was written exactly once
-  // (a corrupt index would skip or repeat positions). Audit: exactness,
-  // checked against every arc of g — which also catches an index that was
-  // not built from g.
+  // (a corrupt index would skip or repeat positions, and a skipped core
+  // leaves its vertices unwritten). Audit: exactness, checked against every
+  // arc of g — which also catches an index that was not built from g.
+  const std::int64_t tree_size = nodes[root].subtree_end - root;
   USNE_CHECK(inv::Category::kSssp,
-             written == end - begin &&
+             written == tree_size &&
                  dist[static_cast<std::size_t>(source)] == 0,
              "forest pass wrote " + std::to_string(written) + " of " +
-                 std::to_string(end - begin) + " tree vertices (source dist " +
+                 std::to_string(tree_size) + " tree vertices (source dist " +
                  std::to_string(dist[static_cast<std::size_t>(source)]) + ")");
   USNE_AUDIT(inv::Category::kSssp, sssp_fixpoint_ok(g, source, dist),
              "forest result is not a shortest-path fixpoint from source " +

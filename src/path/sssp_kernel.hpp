@@ -2,11 +2,9 @@
 
 // GAPBS-grade single-source shortest-path kernels for the serving hot path.
 //
-// The original dial_sssp (path/dijkstra.hpp) is a textbook Dial that
-// allocates a fresh bucket-per-distance array every call and walks the
-// adjacency through the lazy per-vertex accessor. At n >= 10^6 that is the
-// whole serving cost, so these kernels apply the standard shared-memory
-// SSSP engineering (the GAPBS / Meyer–Sanders delta-stepping lineage):
+// Serving cost at n >= 10^6 is the SSSP itself, so these kernels apply the
+// standard shared-memory SSSP engineering (the GAPBS / Meyer–Sanders
+// delta-stepping lineage):
 //
 //  * flat frontier arrays over a packed CSR view (WeightedGraph::Csr) —
 //    one offsets/arcs pair, iterated directly, next row prefetched;
@@ -19,14 +17,17 @@
 //  * reusable per-thread scratch (SsspScratch) — steady-state queries
 //    allocate only the result vector they hand to the cache.
 //
-// An acyclic H — the ultra-sparse emulator at its sparsest, |H| = n - c for
-// c components, is a weighted spanning forest — needs no priority queue at
-// all: forest_sssp_csr walks a ForestIndex (the forest in DFS preorder) once,
-// setting each vertex's distance from its parent's, in O(n) with no scratch.
+// The ultra-sparse emulator is a spanning forest plus k non-tree edges
+// (|H| = n - c + k for c components, k << n), which needs a priority queue
+// only on a small core: forest_sssp_csr walks a ForestIndex (the forest in
+// DFS preorder, the core being the ends of the non-tree edges and their
+// ancestors) with one Dial on the core's own CSR and one pass per pendant
+// subtree, setting each vertex's distance from its parent's. On a forest the
+// core is empty and the kernel is one O(n) pass with no scratch use.
 //
 // Every kernel computes exact distances on H, so results are bit-identical
-// to dial_sssp / dijkstra on every workload — enforced by
-// tests/test_serve_kernels.cpp and the bench_scale checksum gates.
+// to dijkstra on every workload — enforced by tests/test_serve_kernels.cpp
+// and the bench_scale checksum gates.
 
 #include <cstdint>
 #include <optional>
@@ -90,44 +91,91 @@ std::vector<Dist> dial_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
 std::vector<Dist> delta_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
                                  Dist max_w, Dist delta, SsspScratch& scratch);
 
-/// A forest in DFS preorder: the O(n) single-source index for an acyclic H.
-/// Position i of the preorder holds one vertex with its parent's position,
-/// the end of its subtree (positions [i, subtree_end) are i and its
-/// descendants), the first position of its tree and the weight of the edge
-/// up to its parent — 24 B per vertex, plus a 4 B vertex -> position map.
+/// A spanning forest of g in DFS preorder plus its core: the single-source
+/// index for an H that is a forest plus k non-tree edges (the ultra-sparse
+/// emulators, |H| = n - 1 + k with k << n).
+///
+/// The endpoints of the non-tree edges ("portals") and all their ancestors
+/// form the core S, which is therefore ancestor-closed: within a tree it is
+/// either empty or a subtree containing the root. Every other vertex lies in
+/// a pendant subtree that holds no portal and hangs off S by one tree edge,
+/// so a shortest path between core vertices never leaves S, and a pendant
+/// subtree rooted at c is the contiguous preorder range [c, subtree_end(c)).
+/// The core gets its own small CSR with every arc of g between two core
+/// vertices. A forest is the empty-core case: each tree is one range.
+///
+/// Cost: 24 B per vertex (vertex, parent position, subtree end, core id and
+/// the weight of the edge up to the parent) plus a 4 B vertex -> position
+/// map; per core vertex 16 B (its position, its tree, a CSR offset) plus
+/// 16 B per core arc; 8 B per pendant range and 16 B per tree with a core.
 /// Immutable once built, so any number of serving threads share one.
 class ForestIndex {
  public:
   /// Indexes g in O(n + arcs) by an iterative DFS (no recursion, so path-
-  /// deep trees are fine) from each unvisited root in ascending vertex order.
-  /// Returns nullopt when g is not a forest: first by the O(1) edge count
-  /// (arcs / 2 > n - 1), else because arcs / 2 != n - components, which also
-  /// rejects duplicate arcs.
-  static std::optional<ForestIndex> build(const WeightedGraph::Csr& g);
+  /// deep trees are fine) from each unvisited root in ascending vertex
+  /// order, marking the core at each non-tree arc by walking up from both
+  /// ends until a vertex already marked. Returns nullopt when the core has
+  /// more than `max_core` vertices, before building the core CSR; the
+  /// measured core size is stored in `*core_vertices` either way (when
+  /// non-null).
+  static std::optional<ForestIndex> build(const WeightedGraph::Csr& g,
+                                          Vertex max_core,
+                                          Vertex* core_vertices = nullptr);
+
+  /// |S|: 0 exactly when g is a forest.
+  Vertex core_vertices() const noexcept {
+    return static_cast<Vertex>(core_position_.size());
+  }
 
  private:
   friend std::vector<Dist> forest_sssp_csr(const WeightedGraph::Csr& g,
                                            const ForestIndex& index,
-                                           Vertex source);
+                                           Vertex source,
+                                           SsspScratch& scratch);
 
   struct Node {
     Vertex vertex = 0;
     Vertex parent = -1;       ///< parent's position; -1 at a root
     Vertex subtree_end = 0;   ///< one past the last descendant's position
-    Vertex tree_begin = 0;    ///< position of this vertex's root
+    Vertex core = -1;         ///< id in the core CSR; -1 off the core
     Dist up_w = 0;            ///< weight of the edge to the parent
+  };
+  /// A contiguous preorder run of positions [begin, end).
+  struct Range {
+    Vertex begin = 0;
+    Vertex end = 0;
+  };
+  /// The core ids and pendant ranges of one tree with a non-empty core;
+  /// both are contiguous because ids and ranges follow the preorder.
+  struct CoreTree {
+    Vertex core_begin = 0;
+    Vertex core_end = 0;
+    Vertex range_begin = 0;
+    Vertex range_end = 0;
   };
 
   std::vector<Node> preorder_;
-  std::vector<Vertex> position_;  ///< vertex -> preorder position
+  std::vector<Vertex> position_;       ///< vertex -> preorder position
+  std::vector<Vertex> core_position_;  ///< core id -> preorder position
+  std::vector<Vertex> core_tree_;      ///< core id -> index in trees_
+  std::vector<CoreTree> trees_;
+  std::vector<Range> ranges_;          ///< pendant subtrees, in preorder
+  std::vector<std::int64_t> core_offsets_;
+  std::vector<WeightedGraph::Arc> core_arcs_;  ///< heads are core ids
+  Dist core_max_w_ = 0;
 };
 
-/// Exact SSSP on a forest: walks up the source's ancestor chain, then makes
-/// one preorder pass over the source's tree writing dist[v] = dist[parent] +
-/// w straight into the result. Vertices of other trees read kInfDist.
+/// Exact SSSP on a forest plus core. Walks up from the source to its first
+/// core vertex a (to its root when its tree has no core), writing tree
+/// distances on the way; runs dial_sssp_csr from a on the core CSR with
+/// `scratch` and offsets the results by d(source, a); then makes one
+/// preorder pass over each pendant range of the tree, writing dist[v] =
+/// dist[parent] + w straight into the result (the source's own ancestors,
+/// already written, are skipped). Vertices of other trees read kInfDist.
 /// `index` must have been built from g.
 std::vector<Dist> forest_sssp_csr(const WeightedGraph::Csr& g,
-                                  const ForestIndex& index, Vertex source);
+                                  const ForestIndex& index, Vertex source,
+                                  SsspScratch& scratch);
 
 /// Largest edge weight in g (0 for an edgeless graph). One O(E) scan; the
 /// engine computes it once at construction.

@@ -270,10 +270,11 @@ QueryEngine::QueryEngine(WeightedGraph h, double alpha, Dist beta,
   }
   max_w_ = max_edge_weight(csr_);
   delta_ = options_.delta > 0 ? options_.delta : auto_delta(csr_);
-  // An acyclic H (the sparsest emulators are spanning trees) is served by
-  // one preorder pass; options_.kernel only picks the kernel for H with
-  // cycles.
-  forest_ = ForestIndex::build(csr_);
+  // An H that is a spanning forest plus a small core (the sparsest
+  // emulators: a tree, or a tree plus a few extra edges) is served by one
+  // preorder pass plus a Dial over the core; options_.kernel only picks the
+  // kernel once the core holds more than half of the vertices.
+  forest_ = ForestIndex::build(csr_, csr_.n / 2, &core_vertices_);
 }
 
 QueryEngine::QueryEngine(const BuildOutput& built, ServeOptions options)
@@ -295,7 +296,8 @@ QueryEngine::~QueryEngine() {
 }
 
 const char* QueryEngine::kernel_name() const noexcept {
-  return forest_ ? "forest" : sssp_kernel_name(options_.kernel);
+  if (!forest_) return sssp_kernel_name(options_.kernel);
+  return core_vertices_ == 0 ? "forest" : "treecore";
 }
 
 std::vector<Dist> QueryEngine::compute_sssp(Vertex source) const {
@@ -304,11 +306,11 @@ std::vector<Dist> QueryEngine::compute_sssp(Vertex source) const {
   const bool permuted = renumbered();
   const Vertex s =
       permuted ? new_of_old_[static_cast<std::size_t>(source)] : source;
+  thread_local SsspScratch scratch;
   std::vector<Dist> dist;
   if (forest_) {
-    dist = forest_sssp_csr(csr_, *forest_, s);
+    dist = forest_sssp_csr(csr_, *forest_, s, scratch);
   } else {
-    thread_local SsspScratch scratch;
     dist = options_.kernel == SsspKernel::kDelta
                ? delta_sssp_csr(csr_, s, max_w_, delta_, scratch)
                : dial_sssp_csr(csr_, s, max_w_, scratch);

@@ -12,12 +12,16 @@
 //   d_G(u,v) <= d <= alpha * d_G(u,v) + beta.
 //
 // The per-query workhorse is an exact SSSP kernel on H (path/sssp_kernel.hpp)
-// — per-query cost depends on |H| ~ n, never on |E(G)|. When H is acyclic
-// (at its sparsest the emulator is a weighted spanning tree) that kernel is
-// one preorder pass over a ForestIndex built at construction; H with cycles
-// runs the ServeOptions::kernel bucket queue (Dial or delta-stepping). The
-// choice is a property of H, not an option. On top of it sits a
-// sharded LRU cache of per-source SSSP vectors: shards are locked
+// — per-query cost depends on |H| ~ n, never on |E(G)|. The engine indexes H
+// once at construction as a spanning forest in preorder plus a core (the
+// ends of the non-tree edges and their tree ancestors), at 28 B per vertex
+// plus a few bytes per core vertex and core arc (ForestIndex). When the core
+// holds at most n / 2 vertices — an acyclic H, where it is empty, or the
+// ultra-sparse emulator's tree plus a few extra edges — each SSSP is a Dial
+// over the core's small CSR plus one preorder pass per pendant subtree;
+// otherwise H runs the ServeOptions::kernel bucket queue (Dial or
+// delta-stepping). The choice is a property of H, not an option. On top of
+// it sits a sharded LRU cache of per-source SSSP vectors: shards are locked
 // independently, so a query stream with source locality costs one SSSP per
 // hot source regardless of how many threads are serving, and concurrent
 // requests for the same cold source coalesce into a single computation.
@@ -101,10 +105,10 @@ struct ServeOptions {
   /// cache_mb). With 0 entries the cache is disabled.
   std::int64_t cache_entries_per_shard = -1;
 
-  /// Per-query SSSP kernel (path/sssp_kernel.hpp) for H with cycles; an
-  /// acyclic H is always served by the forest kernel. All are exact on H,
-  /// so answers are bit-identical; kDelta wins at scale on weighted
-  /// emulators, kDial remains the reference.
+  /// Per-query SSSP kernel (path/sssp_kernel.hpp) for an H whose core holds
+  /// more than n / 2 vertices; any other H is always served by the forest
+  /// pass. All are exact on H, so answers are bit-identical; kDial remains
+  /// the reference.
   SsspKernel kernel = SsspKernel::kDial;
 
   /// Delta-stepping bucket width (power of two; 0 = auto from the mean
@@ -223,11 +227,13 @@ class QueryEngine {
   double alpha() const noexcept { return alpha_; }
   Dist beta() const noexcept { return beta_; }
 
-  /// Kernel the engine dispatches to ("forest" when H is acyclic, else
-  /// "dial" | "delta" per ServeOptions::kernel) and whether its
-  /// internal CSR is degree-sorted — what usne_run surfaces in the query
-  /// JSON record.
+  /// Kernel the engine dispatches to ("forest" when H is acyclic,
+  /// "treecore" when H is a spanning forest plus a core of at most n / 2
+  /// vertices, else "dial" | "delta" per ServeOptions::kernel), the core
+  /// size it measured on H, and whether its internal CSR is degree-sorted —
+  /// what usne_run surfaces in the query JSON record.
   const char* kernel_name() const noexcept;
+  Vertex core_vertices() const noexcept { return core_vertices_; }
   bool renumbered() const noexcept { return !new_of_old_.empty(); }
 
  private:
@@ -252,7 +258,9 @@ class QueryEngine {
   std::vector<WeightedGraph::Arc> perm_arcs_;
   Dist max_w_ = 0;
   Dist delta_ = 1;
-  std::optional<ForestIndex> forest_;  // set iff csr_ is acyclic
+  // Set iff csr_'s core (ForestIndex) has at most n / 2 vertices.
+  std::optional<ForestIndex> forest_;
+  Vertex core_vertices_ = 0;
 
   std::unique_ptr<Cache> cache_;
   mutable std::atomic<std::int64_t> sssp_runs_{0};

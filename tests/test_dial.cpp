@@ -1,5 +1,5 @@
-// Property tests for Dial's bucket-queue SSSP: exact agreement with
-// Dijkstra on random weighted graphs and on real emulators.
+// Property tests for Dial's bucket-queue SSSP (dial_sssp_csr): exact
+// agreement with Dijkstra on random weighted graphs and on real emulators.
 
 #include <gtest/gtest.h>
 
@@ -7,10 +7,18 @@
 #include "core/params.hpp"
 #include "graph/generators.hpp"
 #include "path/dijkstra.hpp"
+#include "path/sssp_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace usne {
 namespace {
+
+/// Dial on h's packed CSR from `source`, with a fresh scratch.
+std::vector<Dist> dial(const WeightedGraph& h, Vertex source) {
+  const auto csr = h.csr();
+  SsspScratch scratch;
+  return dial_sssp_csr(csr, source, max_edge_weight(csr), scratch);
+}
 
 WeightedGraph random_weighted(Vertex n, std::int64_t m, Dist max_w,
                               std::uint64_t seed) {
@@ -31,7 +39,7 @@ TEST_P(DialSweep, MatchesDijkstraOnRandomWeighted) {
   const std::uint64_t seed = GetParam();
   const WeightedGraph h = random_weighted(200, 600, 12, seed);
   for (Vertex s = 0; s < 200; s += 41) {
-    EXPECT_EQ(dial_sssp(h, s), dijkstra(h, s)) << "seed " << seed << " s " << s;
+    EXPECT_EQ(dial(h, s), dijkstra(h, s)) << "seed " << seed << " s " << s;
   }
 }
 
@@ -45,7 +53,7 @@ TEST(Dial, MatchesDijkstraOnEmulator) {
   options.keep_audit_data = false;
   const auto r = build_emulator_centralized(g, params, options);
   for (Vertex s = 0; s < 300; s += 59) {
-    EXPECT_EQ(dial_sssp(r.h, s), dijkstra(r.h, s));
+    EXPECT_EQ(dial(r.h, s), dijkstra(r.h, s));
   }
 }
 
@@ -53,7 +61,7 @@ TEST(Dial, HandlesDisconnected) {
   WeightedGraph h(6);
   h.add_edge(0, 1, 3);
   h.add_edge(4, 5, 2);
-  const auto dist = dial_sssp(h, 0);
+  const auto dist = dial(h, 0);
   EXPECT_EQ(dist[1], 3);
   EXPECT_EQ(dist[4], kInfDist);
   EXPECT_EQ(dist[5], kInfDist);
@@ -61,7 +69,7 @@ TEST(Dial, HandlesDisconnected) {
 
 TEST(Dial, SingleVertex) {
   WeightedGraph h(1);
-  const auto dist = dial_sssp(h, 0);
+  const auto dist = dial(h, 0);
   EXPECT_EQ(dist[0], 0);
 }
 
@@ -70,7 +78,7 @@ TEST(Dial, LargeWeightsStillCorrect) {
   h.add_edge(0, 1, 1000);
   h.add_edge(1, 2, 2000);
   h.add_edge(0, 2, 2500);
-  const auto dist = dial_sssp(h, 0);
+  const auto dist = dial(h, 0);
   EXPECT_EQ(dist[2], 2500);
   EXPECT_EQ(dist[1], 1000);
 }

@@ -145,7 +145,7 @@ TEST(QueryEngine, AnswersMatchDirectSssp) {
   const BuildOutput built = build_emulator(g);
   const QueryEngine engine(built);
   for (const Vertex s : {0, 5, 123, 299}) {
-    const auto direct = dial_sssp(built.h(), s);
+    const auto direct = dijkstra(built.h(), s);
     const auto cached = engine.query_all(s);
     EXPECT_EQ(*cached, direct);
     for (Vertex v = 0; v < 300; v += 37) {

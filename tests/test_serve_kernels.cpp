@@ -1,9 +1,10 @@
 // The scale-tier kernel stack (path/sssp_kernel.hpp) and its serve-layer
-// integration: flat-frontier Dial, delta-stepping and the forest pass must
-// be bit-identical to Dijkstra on every input; the engine must pick the
-// forest kernel exactly when H is acyclic; degree-sorted renumbering must be
-// invisible in every answer; the per-thread source memo must change costs,
-// never results or the uncached-engine contract.
+// integration: flat-frontier Dial, delta-stepping and the forest-plus-core
+// pass must be bit-identical to Dijkstra on every input; the engine must
+// pick the forest kernel exactly when H is acyclic and the core kernel
+// exactly when H's core holds at most half of the vertices; degree-sorted
+// renumbering must be invisible in every answer; the per-thread source memo
+// must change costs, never results or the uncached-engine contract.
 
 #include <gtest/gtest.h>
 
@@ -56,12 +57,51 @@ WeightedGraph random_forest(Vertex n, double attach_p, Dist max_w,
   return h;
 }
 
-/// forest_sssp_csr from `s` on an acyclic h, through a fresh index.
+/// `extra` random edges added to h, each between two vertices of one
+/// component (so no tree gains a core it was not given); weights up to
+/// max_w. Returns the number actually added (WeightedGraph merges repeats).
+std::int64_t add_edges_within_components(WeightedGraph& h, std::int64_t extra,
+                                         Dist max_w, std::uint64_t seed) {
+  Rng rng(seed);
+  const Vertex n = h.num_vertices();
+  const std::int64_t before = h.num_edges();
+  for (std::int64_t tries = 0; tries < 50 * extra &&
+                               h.num_edges() < before + extra;
+       ++tries) {
+    const Vertex u = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+    const Vertex v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+    if (u == v || dijkstra(h, u)[static_cast<std::size_t>(v)] == kInfDist) {
+      continue;
+    }
+    h.add_edge(u, v, rng.between(1, max_w));
+  }
+  return h.num_edges() - before;
+}
+
+/// forest_sssp_csr from `s` on h, through a fresh index with no core limit.
 std::vector<Dist> forest_from(const WeightedGraph& h, Vertex s) {
   const auto csr = h.csr();
-  const std::optional<ForestIndex> index = ForestIndex::build(csr);
+  const std::optional<ForestIndex> index = ForestIndex::build(csr, csr.n);
   if (!index) return {};
-  return forest_sssp_csr(csr, *index, s);
+  SsspScratch scratch;
+  return forest_sssp_csr(csr, *index, s, scratch);
+}
+
+/// Asserts the core kernel equals Dijkstra on h from every source, through
+/// one index and one scratch; returns the core size.
+Vertex expect_exact_from_every_source(const WeightedGraph& h,
+                                      const std::string& what) {
+  const auto csr = h.csr();
+  const std::optional<ForestIndex> index = ForestIndex::build(csr, csr.n);
+  EXPECT_TRUE(index.has_value()) << what;
+  if (!index) return -1;
+  SsspScratch scratch;
+  for (Vertex s = 0; s < csr.n; ++s) {
+    EXPECT_EQ(forest_sssp_csr(csr, *index, s, scratch), dijkstra(h, s))
+        << what << " s " << s;
+    if (::testing::Test::HasFailure()) break;
+  }
+  return index->core_vertices();
 }
 
 // ---------------------------------------------------------------------------
@@ -134,18 +174,21 @@ TEST(SsspKernelTest, ScratchReportsResidentBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Forest kernel: one preorder pass must equal Dijkstra on every forest, and
-// the index must refuse every graph with a cycle.
+// Forest kernel: one preorder pass (plus one Dial on the core) must equal
+// Dijkstra on every forest and every forest plus extra edges, and every
+// cycle must land in the core.
 
 TEST(ForestKernelTest, RandomForestsMatchDijkstraFromEverySource) {
   for (const std::uint64_t seed : {1, 2, 3, 4}) {
     for (const double attach_p : {0.6, 0.9, 1.0}) {
       const WeightedGraph h = random_forest(200, attach_p, 30, seed);
       const auto csr = h.csr();
-      const std::optional<ForestIndex> index = ForestIndex::build(csr);
+      const std::optional<ForestIndex> index = ForestIndex::build(csr, 0);
       ASSERT_TRUE(index.has_value()) << "seed " << seed;
+      ASSERT_EQ(index->core_vertices(), 0);
+      SsspScratch scratch;
       for (Vertex s = 0; s < 200; ++s) {
-        ASSERT_EQ(forest_sssp_csr(csr, *index, s), dijkstra(h, s))
+        ASSERT_EQ(forest_sssp_csr(csr, *index, s, scratch), dijkstra(h, s))
             << "seed " << seed << " attach_p " << attach_p << " s " << s;
       }
     }
@@ -194,54 +237,118 @@ TEST(ForestKernelTest, StarsAndTrivialForests) {
             (std::vector<Dist>{kInfDist, kInfDist, 0, kInfDist}));
 
   const WeightedGraph empty(0);
-  EXPECT_TRUE(ForestIndex::build(empty.csr()).has_value());
+  const std::optional<ForestIndex> none = ForestIndex::build(empty.csr(), 0);
+  ASSERT_TRUE(none.has_value());
+  EXPECT_EQ(none->core_vertices(), 0);
 }
 
-TEST(ForestKernelTest, IndexRejectsEveryCycle) {
-  // Too many edges: refused by the O(1) count alone.
+TEST(ForestKernelTest, EveryCycleLandsInTheCore) {
+  // A triangle is all core: over a limit of 2 the index is refused, but the
+  // measured size is still reported.
   WeightedGraph triangle(3);
   triangle.add_edge(0, 1, 1);
   triangle.add_edge(1, 2, 1);
   triangle.add_edge(0, 2, 1);
-  EXPECT_FALSE(ForestIndex::build(triangle.csr()).has_value());
+  Vertex core = -1;
+  EXPECT_FALSE(ForestIndex::build(triangle.csr(), 2, &core).has_value());
+  EXPECT_EQ(core, 3);
+  EXPECT_EQ(expect_exact_from_every_source(triangle, "triangle"), 3);
 
-  // A forest plus one edge closing a cycle inside one component: |E| is
-  // still <= n - 1 (there are other components), so only the DFS's
-  // component count catches it.
+  // A forest plus one edge closing a cycle inside one component: the cycle
+  // and the root path above it form the core, every other tree stays
+  // core-free.
   WeightedGraph cyclic_forest = random_forest(60, 0.7, 9, 8);
-  const std::optional<ForestIndex> before =
-      ForestIndex::build(cyclic_forest.csr());
-  ASSERT_TRUE(before.has_value());
-  const std::vector<Dist> reach = dijkstra(cyclic_forest, 0);
-  Vertex far = -1;  // a vertex of 0's tree that is not adjacent to 0
-  for (Vertex v = 1; v < 60; ++v) {
-    if (reach[static_cast<std::size_t>(v)] != kInfDist &&
-        cyclic_forest.edge_weight(0, v) == kInfDist) {
-      far = v;
+  ASSERT_EQ(add_edges_within_components(cyclic_forest, 1, 9, 3), 1);
+  ASSERT_LE(cyclic_forest.num_edges(), 59);
+  core = -1;
+  EXPECT_FALSE(ForestIndex::build(cyclic_forest.csr(), 0, &core).has_value());
+  EXPECT_GE(core, 2);
+  EXPECT_EQ(expect_exact_from_every_source(cyclic_forest, "forest + 1"), core);
+}
+
+TEST(ForestKernelTest, TreePlusKEdgesMatchesDijkstraFromEverySource) {
+  // k = 1, 3 and 30 extra edges keep the core small; k = n / 2 pushes it
+  // past the engine's n / 2 limit, where the kernel must still be exact.
+  const Vertex n = 240;
+  for (const std::uint64_t seed : {1, 2}) {
+    for (const std::int64_t k : {std::int64_t{1}, std::int64_t{3},
+                                 std::int64_t{30}, std::int64_t{n / 2}}) {
+      WeightedGraph h = random_forest(n, 1.0, 12, seed);
+      ASSERT_EQ(add_edges_within_components(h, k, 12, seed + 100), k);
+      const std::string what =
+          "seed " + std::to_string(seed) + " k " + std::to_string(k);
+      const Vertex core = expect_exact_from_every_source(h, what);
+      EXPECT_GT(core, 0) << what;
+      if (k == n / 2) {
+        EXPECT_GT(2 * core, n) << what;
+      }
     }
   }
-  ASSERT_GE(far, 0);
-  cyclic_forest.add_edge(0, far, 3);
-  ASSERT_LE(cyclic_forest.num_edges(), 59);
-  EXPECT_FALSE(ForestIndex::build(cyclic_forest.csr()).has_value());
+}
 
-  // A duplicated edge is a 2-cycle: a hand-built CSR with edge 0-1 twice
-  // and two isolated vertices passes the count test, not the DFS.
-  const std::vector<std::int64_t> offsets{0, 2, 4, 4, 4};
-  const std::vector<WeightedGraph::Arc> arcs{{1, 2}, {1, 2}, {0, 2}, {0, 2}};
-  const WeightedGraph::Csr doubled{4, offsets.data(), arcs.data()};
-  EXPECT_FALSE(ForestIndex::build(doubled).has_value());
+TEST(ForestKernelTest, DuplicateOfATreeEdgeWithAnotherWeight) {
+  // A hand-built CSR: edge 0-1 twice (weights 5 then 2), a path 1-2-3
+  // hanging off it and an isolated vertex 4. The DFS takes the first arc,
+  // weight 5, as the tree edge; the cheaper duplicate is a non-tree edge,
+  // so 0 and 1 form the core and 2-3 is a pendant range off 1.
+  const std::vector<std::int64_t> offsets{0, 2, 5, 7, 8, 8};
+  const std::vector<WeightedGraph::Arc> arcs{
+      {1, 5}, {1, 2},          // 0
+      {0, 5}, {0, 2}, {2, 1},  // 1
+      {1, 1}, {3, 4},          // 2
+      {2, 4}};                 // 3
+  const WeightedGraph::Csr csr{5, offsets.data(), arcs.data()};
+  Vertex core = -1;
+  const std::optional<ForestIndex> index = ForestIndex::build(csr, 5, &core);
+  ASSERT_TRUE(index.has_value());
+  EXPECT_EQ(core, 2);
+  EXPECT_EQ(index->core_vertices(), 2);
+  SsspScratch scratch;
+  for (Vertex s = 0; s < 5; ++s) {
+    EXPECT_EQ(forest_sssp_csr(csr, *index, s, scratch),
+              dial_sssp_csr(csr, s, 5, scratch))
+        << "s " << s;
+  }
+  EXPECT_EQ(forest_sssp_csr(csr, *index, 0, scratch),
+            (std::vector<Dist>{0, 2, 3, 7, kInfDist}));
+}
+
+TEST(ForestKernelTest, ForestsWhereOnlySomeTreesHaveACore) {
+  // Many trees and isolated vertices; extra edges go inside a few of them,
+  // so sources in core-free trees, in pendant subtrees and in cores are all
+  // covered.
+  for (const std::uint64_t seed : {5, 6, 7}) {
+    WeightedGraph h = random_forest(200, 0.85, 20, seed);
+    ASSERT_EQ(add_edges_within_components(h, 4, 20, seed), 4);
+    const std::string what = "seed " + std::to_string(seed);
+    const Vertex core = expect_exact_from_every_source(h, what);
+    EXPECT_GT(core, 0) << what;
+    EXPECT_LT(core, 100) << what;
+  }
+  const WeightedGraph single(1);
+  EXPECT_EQ(expect_exact_from_every_source(single, "n = 1"), 0);
+  const WeightedGraph empty(0);
+  EXPECT_EQ(expect_exact_from_every_source(empty, "n = 0"), 0);
 }
 
 TEST(ForestKernelTest, AuditCatchesAnIndexOfAnotherGraph) {
 #ifndef USNE_NO_AUDITS
   inv::ScopedAuditsEnabled on(true);
-  const WeightedGraph a = random_forest(40, 1.0, 9, 21);
-  const WeightedGraph b = random_forest(40, 1.0, 9, 22);
-  const std::optional<ForestIndex> index_a = ForestIndex::build(a.csr());
-  ASSERT_TRUE(index_a.has_value());
-  EXPECT_NO_THROW(forest_sssp_csr(a.csr(), *index_a, 0));
-  EXPECT_THROW(forest_sssp_csr(b.csr(), *index_a, 0), inv::InvariantViolation);
+  // Trees, and the same trees with a few extra edges (a non-empty core).
+  for (const std::int64_t extra : {std::int64_t{0}, std::int64_t{3}}) {
+    WeightedGraph a = random_forest(40, 1.0, 9, 21);
+    WeightedGraph b = random_forest(40, 1.0, 9, 22);
+    add_edges_within_components(a, extra, 9, 23);
+    add_edges_within_components(b, extra, 9, 24);
+    const std::optional<ForestIndex> index_a =
+        ForestIndex::build(a.csr(), 40);
+    ASSERT_TRUE(index_a.has_value());
+    SsspScratch scratch;
+    EXPECT_NO_THROW(forest_sssp_csr(a.csr(), *index_a, 0, scratch));
+    EXPECT_THROW(forest_sssp_csr(b.csr(), *index_a, 0, scratch),
+                 inv::InvariantViolation)
+        << "extra " << extra;
+  }
 #else
   GTEST_SKIP() << "audits compiled out";
 #endif
@@ -249,9 +356,10 @@ TEST(ForestKernelTest, AuditCatchesAnIndexOfAnotherGraph) {
 
 TEST(ForestKernelTest, SparsestEmulatorsAreForests) {
   // At its sparsest (|H| = n - 1 on a connected G) every emulator builder
-  // must hand back a spanning tree, which the forest kernel then serves
-  // exactly; a denser H must be refused. Kappa 6 is sparse enough that
-  // each builder yields trees on these graphs, so the check is not vacuous.
+  // must hand back a spanning tree, which has an empty core; a denser H has
+  // a core, and the kernel must be exact on both. Kappa 6 is sparse enough
+  // that each builder yields trees on these graphs, so the check is not
+  // vacuous.
   for (const std::string algo :
        {"emulator_fast", "emulator_congest", "emulator_centralized"}) {
     int trees = 0;
@@ -266,22 +374,39 @@ TEST(ForestKernelTest, SparsestEmulatorsAreForests) {
         spec.exec.keep_audit_data = false;
         const BuildOutput out = build(g, spec);
         const WeightedGraph& h = out.h();
-        const auto csr = h.csr();
-        const std::optional<ForestIndex> index = ForestIndex::build(csr);
         const bool tree = h.num_edges() == h.num_vertices() - 1;
-        ASSERT_EQ(index.has_value(), tree)
-            << algo << " kappa " << kappa << " seed " << seed << " |H| "
-            << h.num_edges();
-        if (!tree) continue;
-        ++trees;
-        for (Vertex s = 0; s < h.num_vertices(); ++s) {
-          ASSERT_EQ(forest_sssp_csr(csr, *index, s), dijkstra(h, s))
-              << algo << " kappa " << kappa << " seed " << seed << " s " << s;
-        }
+        const std::string what = algo + " kappa " + std::to_string(kappa) +
+                                 " seed " + std::to_string(seed);
+        ASSERT_EQ(ForestIndex::build(h.csr(), 0).has_value(), tree)
+            << what << " |H| " << h.num_edges();
+        const Vertex core = expect_exact_from_every_source(h, what);
+        EXPECT_EQ(core == 0, tree) << what;
+        trees += tree ? 1 : 0;
       }
     }
     EXPECT_GT(trees, 0) << algo << " never produced a spanning tree";
   }
+}
+
+TEST(ForestKernelTest, CongestEmulatorAtKappa8HasASmallCore) {
+  // The ultra-sparse regime the core kernel is for: emulator_congest at
+  // kappa 8 on ER n = 1024 is a spanning tree plus a few extra edges.
+  const Graph g = gen_connected_gnm(1024, 4096, 11);
+  BuildSpec spec;
+  spec.algorithm = "emulator_congest";
+  spec.params.kappa = 8;
+  spec.params.eps = 0.25;
+  spec.params.rho = 0.45;
+  spec.exec.keep_audit_data = false;
+  const BuildOutput out = build(g, spec);
+  const WeightedGraph& h = out.h();
+  ASSERT_GT(h.num_edges(), h.num_vertices() - 1);
+  const Vertex core = expect_exact_from_every_source(h, "emulator_congest");
+  EXPECT_GT(core, 0);
+  EXPECT_LE(2 * core, h.num_vertices());
+  const serve::QueryEngine engine(out);
+  EXPECT_STREQ(engine.kernel_name(), "treecore");
+  EXPECT_EQ(engine.core_vertices(), core);
 }
 
 TEST(RenumberTest, DegreeSortedOrderIsAPermutationSortedByDegree) {
@@ -439,7 +564,9 @@ TEST(ServeKernelTest, EngineServesExactlyTheAcyclicHWithTheForestKernel) {
   ASSERT_EQ(tree.num_edges(), 79);
 
   // Tree plus one edge, and forest plus one edge closing a cycle inside a
-  // component: both keep the configured ring kernel.
+  // component: both have a small core and take the core kernel. A tree
+  // plus 40 edges has a core of more than n / 2 vertices and keeps the
+  // configured ring kernel.
   WeightedGraph tree_plus = tree;
   for (Vertex v = 2; tree_plus.num_edges() == tree.num_edges(); ++v) {
     tree_plus.add_edge(0, v, 5);
@@ -452,6 +579,8 @@ TEST(ServeKernelTest, EngineServesExactlyTheAcyclicHWithTheForestKernel) {
     }
   }
   ASSERT_LT(forest_plus.num_edges(), 79);  // more than one component
+  WeightedGraph dense = tree;
+  ASSERT_EQ(add_edges_within_components(dense, 40, 9, 33), 40);
 
   for (const SsspKernel kernel : {SsspKernel::kDial, SsspKernel::kDelta}) {
     for (const auto renumber :
@@ -459,39 +588,57 @@ TEST(ServeKernelTest, EngineServesExactlyTheAcyclicHWithTheForestKernel) {
       serve::ServeOptions options;
       options.kernel = kernel;
       options.renumber = renumber;
-      EXPECT_STREQ(serve::QueryEngine(tree, 1.0, 0, options).kernel_name(),
-                   "forest");
+      const serve::QueryEngine tree_engine(tree, 1.0, 0, options);
+      EXPECT_STREQ(tree_engine.kernel_name(), "forest");
+      EXPECT_EQ(tree_engine.core_vertices(), 0);
       EXPECT_STREQ(serve::QueryEngine(forest, 1.0, 0, options).kernel_name(),
                    "forest");
-      EXPECT_STREQ(
-          serve::QueryEngine(tree_plus, 1.0, 0, options).kernel_name(),
-          sssp_kernel_name(kernel));
+      const serve::QueryEngine tree_plus_engine(tree_plus, 1.0, 0, options);
+      EXPECT_STREQ(tree_plus_engine.kernel_name(), "treecore");
+      EXPECT_GT(tree_plus_engine.core_vertices(), 0);
+      EXPECT_LE(tree_plus_engine.core_vertices(), 40);
       EXPECT_STREQ(
           serve::QueryEngine(forest_plus, 1.0, 0, options).kernel_name(),
-          sssp_kernel_name(kernel));
+          "treecore");
+      const serve::QueryEngine dense_engine(dense, 1.0, 0, options);
+      EXPECT_STREQ(dense_engine.kernel_name(), sssp_kernel_name(kernel));
+      EXPECT_GT(dense_engine.core_vertices(), 40);
     }
   }
 }
 
 TEST(ServeKernelTest, ForestAnswersMatchRingKernelsAcrossThreads) {
-  // The ring kernels cannot be forced onto a tree, so they serve the tree
-  // plus one edge too heavy to lie on any shortest path: same distances,
-  // H with a cycle. Every configuration must give the same answers, and
+  // The same distances served three ways: a tree (forest kernel), the tree
+  // plus one edge too heavy to lie on any shortest path (core kernel), and
+  // the tree plus n / 2 such edges, whose core exceeds n / 2 and so runs
+  // the ring kernels. Every configuration must give the same answers, and
   // the multi-threaded ones share the engine's one read-only index (this
   // test binary runs under the TSan leg).
   const Vertex n = 300;
   const WeightedGraph tree = random_forest(n, 1.0, 9, 41);
-  WeightedGraph heavy = tree;
-  heavy.add_edge(0, n - 1, 9 * n);
-  if (heavy.num_edges() == tree.num_edges()) heavy.add_edge(1, n - 1, 9 * n);
-  ASSERT_EQ(heavy.num_edges(), tree.num_edges() + 1);
+  WeightedGraph one_heavy = tree;
+  one_heavy.add_edge(0, n - 1, 9 * n);
+  if (one_heavy.num_edges() == tree.num_edges()) {
+    one_heavy.add_edge(1, n - 1, 9 * n);
+  }
+  ASSERT_EQ(one_heavy.num_edges(), tree.num_edges() + 1);
+  WeightedGraph many_heavy = tree;
+  Rng rng(42);
+  while (many_heavy.num_edges() < tree.num_edges() + n / 2) {
+    const Vertex u = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+    const Vertex v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+    if (u != v && tree.edge_weight(u, v) == kInfDist) {
+      many_heavy.add_edge(u, v, 9 * n);
+    }
+  }
+  const WeightedGraph* const shapes[] = {&tree, &one_heavy, &many_heavy};
 
   for (const auto kind :
        {serve::WorkloadKind::kZipf, serve::WorkloadKind::kUniform,
         serve::WorkloadKind::kGrouped, serve::WorkloadKind::kPointVsAll}) {
     const std::vector<serve::Query> queries = workload_of(kind, n);
     std::vector<Dist> reference;
-    for (const bool ring : {false, true}) {
+    for (int shape = 0; shape < 3; ++shape) {
       for (const SsspKernel kernel : {SsspKernel::kDial, SsspKernel::kDelta}) {
         for (const auto renumber :
              {serve::Renumber::kNone, serve::Renumber::kDegreeSort}) {
@@ -500,10 +647,10 @@ TEST(ServeKernelTest, ForestAnswersMatchRingKernelsAcrossThreads) {
             options.cache_mb = 1;
             options.kernel = kernel;
             options.renumber = renumber;
-            const serve::QueryEngine engine(ring ? heavy : tree, 1.0, 0,
-                                            options);
-            ASSERT_STREQ(engine.kernel_name(),
-                         ring ? sssp_kernel_name(kernel) : "forest");
+            const serve::QueryEngine engine(*shapes[shape], 1.0, 0, options);
+            const char* const want[] = {"forest", "treecore",
+                                        sssp_kernel_name(kernel)};
+            ASSERT_STREQ(engine.kernel_name(), want[shape]);
             const serve::BatchResult batch = engine.serve(queries, threads);
             if (reference.empty()) {
               reference = batch.answers;
