@@ -3,13 +3,15 @@
 #
 #   scripts/check.sh           configure, build, run the full test suite,
 #                              then smoke-run bench_congest_rounds at
-#                              --threads 1 and --threads max and emit
+#                              --threads 1 and --threads max, regenerating
 #                              BENCH_congest.json (round/message/word counts
 #                              per workload — the cross-PR perf trajectory —
-#                              plus serial/parallel wall-clock and speedup).
-#                              Fails if the model counts diverge between the
-#                              serial and parallel engines: the parallel
-#                              scheduler's determinism is a hard guarantee.
+#                              plus serial/parallel wall-clock and speedup)
+#                              into the smoke directory. Fails if the model
+#                              counts diverge between the serial and
+#                              parallel engines (the parallel scheduler's
+#                              determinism is a hard guarantee) or from the
+#                              committed BENCH_congest.json.
 #                              Finally runs the unified-API registry smoke:
 #                              `usne_run --json` for every name in
 #                              usne::algorithms(), diffing the CONGEST
@@ -32,7 +34,8 @@
 #                              tree plus a small core), and
 #                              bench_query_throughput regenerates
 #                              BENCH_serve.json — the throughput
-#                              trajectory — whose row *count* and per-row
+#                              trajectory — into the smoke directory; its
+#                              row *count* and per-row
 #                              answer *checksums* must match the committed
 #                              file (wall times move with the hardware; the
 #                              scenario list and the answers must not drift
@@ -75,6 +78,12 @@
 # The sanitizer matrix (ASan+UBSan full suite, TSan -L tsan) is the full
 # scripts/analyze.sh run — heavier than tier-1 and kept separate:
 #   scripts/analyze.sh
+#
+# Every regenerated report is written to the smoke directory and compared
+# there against the committed file on its pinned fields only (counts,
+# checksums, row inventory); wall times, qps and thread counts are
+# host-dependent, so the script leaves the tracked files untouched. To
+# refresh a committed trajectory, run its bench binary with --json by hand.
 #
 # Exits non-zero on any build, test, lint, or divergence failure.
 
@@ -124,19 +133,20 @@ echo "USNE_NO_TRACE: macro layer is symbol-free (probe sensitive both ways)"
 echo "== tier-1 tests =="
 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
+SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "${SMOKE_DIR}"' EXIT
+
 echo "== CONGEST perf smoke (serial reference) =="
-# Keep the committed counts aside: after regeneration the model counts
-# (rounds/messages/words) must be unchanged — wall times move with the
-# hardware, the CONGEST cost model must not drift silently.
-if [ -f BENCH_congest.json ]; then
-  cp BENCH_congest.json BENCH_congest_committed.json
-fi
-./build/bench_congest_rounds --threads 1 --json BENCH_congest_serial.json
+# Regenerate into the smoke directory: after regeneration the model counts
+# (rounds/messages/words) must equal the committed BENCH_congest.json —
+# wall times move with the hardware, the CONGEST cost model must not drift
+# silently.
+./build/bench_congest_rounds --threads 1 --json "${SMOKE_DIR}/BENCH_congest_serial.json"
 
 echo "== CONGEST perf smoke (parallel, counts must match) =="
 # bench_congest_rounds itself re-verifies serial-vs-parallel counts per row
 # and exits 1 on divergence; the JSON diff below cross-checks the two runs.
-./build/bench_congest_rounds --threads max --json BENCH_congest.json
+./build/bench_congest_rounds --threads max --json "${SMOKE_DIR}/BENCH_congest.json"
 
 echo "== serial vs parallel model-count divergence check =="
 # Both the ideal rows and the non-ideal transport rows must be identical
@@ -144,30 +154,26 @@ echo "== serial vs parallel model-count divergence check =="
 # deterministic for any thread count.
 extract_section() { sed -n "/\"$2\": \[/,/\]/p" "$1"; }
 for section in rows transport_rows; do
-  if ! diff <(extract_section BENCH_congest_serial.json "${section}") \
-            <(extract_section BENCH_congest.json "${section}"); then
+  if ! diff <(extract_section "${SMOKE_DIR}/BENCH_congest_serial.json" "${section}") \
+            <(extract_section "${SMOKE_DIR}/BENCH_congest.json" "${section}"); then
     echo "FAIL: ${section} diverge between --threads 1 and --threads max" >&2
     exit 1
   fi
 done
-rm -f BENCH_congest_serial.json
 echo "model counts identical across engines (ideal + transport rows)"
 
 echo "== committed CONGEST count drift check =="
 count_fields() { grep -o "\"\(rounds\|messages\|words\)\": [0-9]*" "$1" || true; }
-if [ -f BENCH_congest_committed.json ]; then
-  if ! diff <(count_fields BENCH_congest_committed.json) \
-            <(count_fields BENCH_congest.json); then
+if [ -f BENCH_congest.json ]; then
+  if ! diff <(count_fields BENCH_congest.json) \
+            <(count_fields "${SMOKE_DIR}/BENCH_congest.json"); then
     echo "FAIL: committed BENCH_congest.json rounds/messages/words drifted" >&2
     exit 1
   fi
-  rm -f BENCH_congest_committed.json
   echo "rounds/messages/words match the committed BENCH_congest.json"
 fi
 
 echo "== unified-API registry smoke (usne_run over every algorithm) =="
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "${SMOKE_DIR}"' EXIT
 for algo in $(./build/usne_run --list); do
   ./build/usne_run --algo "${algo}" --family er --n 128 --kappa 4 \
     --rho 0.49 --eps 0.4 --seed 2024 --threads 1 \
@@ -378,7 +384,8 @@ old_serve_rows=""
 if [ -f BENCH_serve.json ]; then
   old_serve_rows="$(grep -c '"workload":' BENCH_serve.json || true)"
 fi
-./build/bench_query_throughput --threads max --json BENCH_serve.json.tmp
+SERVE_REPORT="${SMOKE_DIR}/BENCH_serve.json"
+./build/bench_query_throughput --threads max --json "${SERVE_REPORT}"
 
 echo "== daemon smoke (usne_served + usne_loadgen over loopback) =="
 # Start the TCP serving daemon on an ephemeral port (invariant audits on),
@@ -387,7 +394,7 @@ echo "== daemon smoke (usne_served + usne_loadgen over loopback) =="
 # diverges — answers must be transport-independent), then shut down with
 # SIGTERM and require a clean exit plus a zero-firing daemon invariant
 # ledger in the shutdown record. The loadgen rows are merged into the
-# bench tmp file so the row-count and checksum gates below pin the daemon
+# regenerated report so the row-count and checksum gates below pin the daemon
 # trajectory exactly like the in-process one.
 rm -f "${SMOKE_DIR}/daemon.port" "${SMOKE_DIR}/daemon.stats.json" \
       "${SMOKE_DIR}/daemon_rows.jsonl"
@@ -484,13 +491,12 @@ if ! grep -q '"in_flight": 0' "${SMOKE_DIR}/daemon.stats.json"; then
   exit 1
 fi
 echo "usne_served: clean SIGTERM shutdown, request ledger conserved"
-python3 scripts/bench_serve_merge.py BENCH_serve.json.tmp \
+python3 scripts/bench_serve_merge.py "${SERVE_REPORT}" \
   "${SMOKE_DIR}/daemon_rows.jsonl"
 
-new_serve_rows="$(grep -c '"workload":' BENCH_serve.json.tmp || true)"
+new_serve_rows="$(grep -c '"workload":' "${SERVE_REPORT}" || true)"
 if [ -n "${old_serve_rows}" ] && [ "${old_serve_rows}" != "${new_serve_rows}" ]; then
   echo "FAIL: BENCH_serve.json row count changed: ${old_serve_rows} -> ${new_serve_rows}" >&2
-  rm -f BENCH_serve.json.tmp
   exit 1
 fi
 # Answer checksums are a pure function of (H, workload seed): the committed
@@ -498,14 +504,12 @@ fi
 # optimization that moves one is a wrong answer, not a speedup.
 if [ -f BENCH_serve.json ]; then
   if ! diff <(grep -o '"checksum": [0-9]*' BENCH_serve.json) \
-            <(grep -o '"checksum": [0-9]*' BENCH_serve.json.tmp); then
+            <(grep -o '"checksum": [0-9]*' "${SERVE_REPORT}"); then
     echo "FAIL: BENCH_serve.json answer checksums drifted" >&2
-    rm -f BENCH_serve.json.tmp
     exit 1
   fi
 fi
-mv BENCH_serve.json.tmp BENCH_serve.json
-echo "BENCH_serve.json: ${new_serve_rows} serving rows recorded (checksums stable)"
+echo "BENCH_serve.json: ${new_serve_rows} serving rows regenerated (checksums stable)"
 
 echo "== grouped-speedup floor (E9 regression gate) =="
 # On a perfectly grouped stream the legacy single-entry cache is already
@@ -515,10 +519,10 @@ echo "== grouped-speedup floor (E9 regression gate) =="
 # measurement). The floor below is NOT a perf target — it catches the
 # structural regression class where the engine loses source-grouping
 # entirely and runs one SSSP per query, which craters the ratio to ~0.02.
-grouped_speedup="$(grep '"workload": "grouped"' BENCH_serve.json \
+grouped_speedup="$(grep '"workload": "grouped"' "${SERVE_REPORT}" \
   | { grep -o '"speedup_vs_oracle": [0-9.]*' || true; } | head -n 1 | awk '{print $2}')"
 if [ -z "${grouped_speedup}" ]; then
-  echo "FAIL: BENCH_serve.json has no grouped speedup_vs_oracle field" >&2
+  echo "FAIL: regenerated BENCH_serve.json has no grouped speedup_vs_oracle field" >&2
   exit 1
 fi
 if ! awk -v s="${grouped_speedup}" 'BEGIN { exit !(s >= 0.35) }'; then

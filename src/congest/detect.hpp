@@ -11,6 +11,15 @@
 // our deterministic specialization). Each stride takes `cap` rounds so the
 // one-message-per-edge-per-round CONGEST constraint holds exactly.
 //
+// Cost (detect.cpp): work follows traffic, not n or the round count. Each
+// explore message costs one expected-O(1) probe of the receiver's hashed
+// set of known sources; a send round visits only the vertices whose list
+// still has an entry; a stride boundary visits only the vertices that
+// learnt a source in it. Rounds in which no list has an entry left are
+// skipped by the Scheduler's idle-round fast-forward, so a stride costs
+// its busiest rounds and a task with no sources costs O(1), while the
+// reported rounds stay exactly delta * cap.
+//
 // Guarantees (paper Theorem 3.1):
 //  1. a center that hears >= deg other centers is popular; every popular
 //     center is detected;
@@ -50,7 +59,8 @@ struct DetectResult {
 
 /// Runs Algorithm 2 from `sources` to depth `delta` with per-stride
 /// forwarding cap `cap` (the paper's deg_i + 1).
-/// Consumes exactly delta * cap rounds.
+/// Consumes exactly delta * cap rounds (plus the drain of a non-ideal
+/// transport), most of them fast-forwarded when they are idle.
 DetectResult detect_congest(Network& net, const std::vector<Vertex>& sources,
                             Dist delta, std::int64_t cap);
 

@@ -151,6 +151,19 @@ ScheduleReport Scheduler::run(NodeProgram& program) {
     }
     program.end_round(round, out);
     attribute(&StageTimes::end_round_s);
+    // Idle-round fast-forward (see engine.hpp): rounds round + 1 .. next - 1
+    // would deliver nothing and run no hook that acts, so they are counted,
+    // not driven. The skip is charged to deliver_s, the stage that would
+    // have carried those rounds.
+    const std::int64_t next = program.next_busy_round(round);
+    if (next > round + 1 &&
+        net_->pending_messages() + net_->in_flight() == 0) {
+      const std::int64_t skipped = next - round - 1;
+      net_->skip_idle_rounds(skipped);
+      report.idle_rounds += skipped;
+      round = next - 1;
+      attribute(&StageTimes::deliver_s);
+    }
   }
 
   if (net_->transport().ideal()) {

@@ -17,7 +17,20 @@
 //                             counter; centralizing them keeps the
 //                             simulation honest and the code short);
 //   done(next_round)          schedule exhaustion test, checked before each
-//                             round.
+//                             round;
+//   next_busy_round(r)        after end_round(r): the next round whose hooks
+//                             may do anything (default r + 1).
+//
+// Idle-round fast-forward. Fixed schedules burn long runs of rounds in
+// which nothing is sent and no hook acts (Algorithm 2's strides once every
+// vertex has forwarded its list, a detect task with no sources left). When
+// next_busy_round(r) = b > r + 1 and the network is quiescent (nothing
+// staged, nothing in flight), the Scheduler skips rounds r + 1 .. b - 1 in
+// O(1) through Network::skip_idle_rounds: they count as rounds and as idle
+// rounds exactly as if driven one by one, and round b then runs normally.
+// A program may only promise what holds: in a skipped round no inbox is
+// delivered (quiescence guarantees that), so its end_round must send
+// nothing and change nothing observable. Returning r + 1 is always safe.
 //
 // The Scheduler is the only component that calls Network::advance_round():
 // it owns round advancement, meters idle rounds (rounds delivering no
@@ -165,6 +178,15 @@ class NodeProgram {
   /// True when the schedule is exhausted; `next_round` is the 0-based index
   /// of the round that would run next.
   virtual bool done(std::int64_t next_round) const = 0;
+
+  /// Called after end_round(round): the first round after `round` whose
+  /// end_round may send or change state, assuming no message arrives
+  /// before it (or the round at which done() turns true). The Scheduler
+  /// skips the rounds in between only while the network is quiescent. See
+  /// "Idle-round fast-forward" in the file comment.
+  virtual std::int64_t next_busy_round(std::int64_t round) const {
+    return round + 1;
+  }
 };
 
 /// What one program execution cost.
@@ -190,6 +212,12 @@ class Sharded {
 
   void push(std::size_t shard, T value) {
     buffers_[shard].items.push_back(std::move(value));
+  }
+
+  /// True when no shard holds an item (serial callers only).
+  bool empty() const noexcept {
+    return std::all_of(buffers_.begin(), buffers_.end(),
+                       [](const Buffer& b) { return b.items.empty(); });
   }
 
   /// Appends every buffer to `dst` in ascending shard order and clears

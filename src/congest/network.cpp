@@ -1,6 +1,7 @@
 #include "congest/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <thread>
 
@@ -47,6 +48,7 @@ Network::Network(const Graph& g)
       inbox_begin_(static_cast<std::size_t>(g.num_vertices()), 0),
       inbox_count_(static_cast<std::size_t>(g.num_vertices()), 0),
       recv_count_(static_cast<std::size_t>(g.num_vertices()), 0),
+      receiver_bits_((static_cast<std::size_t>(g.num_vertices()) + 63) / 64, 0),
       edge_round_stamp_(static_cast<std::size_t>(g.num_edges()) * 2, -1),
       model_(make_delivery_model(TransportSpec{})) {
   if (g.num_vertices() == 0) {
@@ -249,17 +251,48 @@ void Network::advance_round() {
   ++stats_.rounds;
 }
 
+void Network::mark_receiver(Vertex v) {
+  const auto sv = static_cast<std::size_t>(v);
+  receiver_bits_[sv / 64] |= std::uint64_t{1} << (sv % 64);
+  receivers_.push_back(v);
+}
+
+void Network::order_receivers() {
+  // A bitmap scan reads n/64 words and emits each receiver once; std::sort
+  // spends about r log r compares. Take the scan whenever its word count is
+  // within twice the sort's, so sparse rounds on a large graph still sort.
+  const std::size_t words = receiver_bits_.size();
+  const std::size_t r = receivers_.size();
+  if (words <= 2 * r * static_cast<std::size_t>(std::bit_width(r))) {
+    receivers_.clear();
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t bits = receiver_bits_[w];
+      if (bits == 0) continue;
+      receiver_bits_[w] = 0;
+      const auto base = static_cast<Vertex>(w * 64);
+      do {
+        receivers_.push_back(base + std::countr_zero(bits));
+        bits &= bits - 1;
+      } while (bits != 0);
+    }
+  } else {
+    std::sort(receivers_.begin(), receivers_.end());
+    // Every set bit is a receiver, so clearing whole words is exact.
+    for (const Vertex v : receivers_) {
+      receiver_bits_[static_cast<std::size_t>(v) / 64] = 0;
+    }
+  }
+}
+
 void Network::scatter_serial() {
   // Counting-sort the batch into the delivery arena: receivers in
   // ascending order, one contiguous run each.
   for (const Staged& p : deliver_) {
     for_each_receiver(*graph_, p, [&](Vertex to) {
-      if (recv_count_[static_cast<std::size_t>(to)]++ == 0) {
-        receivers_.push_back(to);
-      }
+      if (recv_count_[static_cast<std::size_t>(to)]++ == 0) mark_receiver(to);
     });
   }
-  std::sort(receivers_.begin(), receivers_.end());
+  order_receivers();
   std::int64_t offset = 0;
   for (const Vertex v : receivers_) {
     inbox_begin_[static_cast<std::size_t>(v)] = offset;
@@ -297,7 +330,6 @@ void Network::scatter_parallel(util::ThreadPool& pool) {
     shard_count_.assign(shards, std::vector<std::int64_t>(n, 0));
     shard_touched_.assign(shards, {});
   }
-  if (receiver_stamp_.size() != n) receiver_stamp_.assign(n, -1);
   util::weighted_split(
       deliver_.size(), shards, delivered_messages_,
       [&](std::size_t i) { return record_messages(*graph_, deliver_[i]); },
@@ -315,17 +347,15 @@ void Network::scatter_parallel(util::ThreadPool& pool) {
     }
   });
 
-  // Receivers: union of the touched lists, deduped by round stamp, then
-  // sorted ascending (the delivery contract).
+  // Receivers: union of the touched lists, deduped by the receiver bitmap,
+  // then put in ascending order (the delivery contract).
   for (const auto& touched : shard_touched_) {
     for (const Vertex v : touched) {
-      if (receiver_stamp_[static_cast<std::size_t>(v)] != stats_.rounds) {
-        receiver_stamp_[static_cast<std::size_t>(v)] = stats_.rounds;
-        receivers_.push_back(v);
-      }
+      const auto sv = static_cast<std::size_t>(v);
+      if ((receiver_bits_[sv / 64] >> (sv % 64) & 1) == 0) mark_receiver(v);
     }
   }
-  std::sort(receivers_.begin(), receivers_.end());
+  order_receivers();
 
   // Offsets: turn the per-shard counts into per-shard write cursors (an
   // exclusive prefix sum across shards within each receiver's run).
@@ -383,6 +413,23 @@ void Network::scatter_parallel(util::ThreadPool& pool) {
 
 void Network::advance_rounds(std::int64_t k) {
   for (std::int64_t i = 0; i < k; ++i) advance_round();
+}
+
+void Network::skip_idle_rounds(std::int64_t k) {
+  if (k <= 0) return;
+  if (pending_messages() + in_flight() != 0) {
+    throw std::logic_error(
+        "skip_idle_rounds requires a quiescent network (messages are staged "
+        "or in flight)");
+  }
+  // What k advance_round() calls would leave: the previous round's inboxes
+  // retired, an empty batch, the round counter k further on. The delivery
+  // model has nothing to collect, and the per-edge stamps compare against
+  // the round counter, so neither needs touching.
+  for (const Vertex v : delivered_) inbox_count_[static_cast<std::size_t>(v)] = 0;
+  delivered_.clear();
+  delivered_messages_ = 0;
+  stats_.rounds += k;
 }
 
 }  // namespace usne::congest

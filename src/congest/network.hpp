@@ -23,11 +23,19 @@
 // words. advance_round() counting-sorts the round's delivery batch into a
 // CSR-shaped arena (one contiguous Received run per receiving vertex),
 // expanding each broadcast record straight into its receivers' runs by
-// walking the sender's CSR neighbours. All buffers are reused across
-// rounds, so round advancement performs no heap allocation once the
-// per-round traffic high-water mark has been reached. Sufficiently large
-// batches are counting-sorted in parallel on the execution thread pool,
-// with delivery order bit-identical to the serial pass.
+// walking the sender's CSR neighbours. The receivers are put in ascending
+// order without a comparison sort whenever the round is dense enough: each
+// is marked in an n-bit bitmap as it is first counted, and a scan of the
+// n/64 words lists them in order; a round with few receivers on a large
+// graph sorts them instead (the choice depends on the receiver count and
+// n only). All buffers are reused across rounds, so round advancement
+// performs no heap allocation once the per-round traffic high-water mark
+// has been reached. Sufficiently large batches are counting-sorted in
+// parallel on the execution thread pool, with delivery order bit-identical
+// to the serial pass; the union of the shards' receivers goes through the
+// same bitmap. A quiescent network skips k idle rounds in O(1)
+// (skip_idle_rounds), which the Scheduler uses to fast-forward fixed
+// schedules.
 //
 // What happens to a staged message *between* the send and the next round's
 // inbox is delegated to a pluggable DeliveryModel (congest/transport.hpp):
@@ -259,6 +267,12 @@ class Network {
   /// idle rounds that still count, matching fixed schedules).
   void advance_rounds(std::int64_t k);
 
+  /// Advances `k` rounds that deliver nothing, in O(1): the same state and
+  /// stats as k advance_round() calls on a quiescent network. Throws
+  /// std::logic_error unless pending_messages() + in_flight() == 0. The
+  /// Scheduler's idle-round fast-forward (NodeProgram::next_busy_round).
+  void skip_idle_rounds(std::int64_t k);
+
   /// Messages delivered to v at the start of the current round, sorted by
   /// sender. The span points into the delivery arena and is invalidated by
   /// the next advance_round().
@@ -313,6 +327,15 @@ class Network {
   /// contiguous run each, runs sorted by sender) and fills delivered_.
   void scatter_serial();
   void scatter_parallel(util::ThreadPool& pool);
+
+  /// Appends v to receivers_ and sets its bit in receiver_bits_ (v must not
+  /// be marked yet).
+  void mark_receiver(Vertex v);
+
+  /// Puts receivers_ in ascending order and clears their bits: a scan of
+  /// the bitmap when the round is dense enough, std::sort otherwise.
+  void order_receivers();
+
   void sort_inbox_run(Vertex v);
 
   const Graph* graph_ = nullptr;
@@ -331,6 +354,7 @@ class Network {
   std::vector<std::int64_t> recv_count_;      // per-vertex batch count (scratch)
   std::vector<Vertex> delivered_;             // nodes with non-empty inbox
   std::vector<Vertex> receivers_;             // scratch: batch receivers
+  std::vector<std::uint64_t> receiver_bits_;  // scratch: receivers_ as bits
   std::int64_t delivered_messages_ = 0;       // size of the current batch
   std::int64_t delivered_total_ = 0;          // cumulative batch messages
   // Injected-event counters folded in from transports retired by
@@ -350,12 +374,10 @@ class Network {
   std::unique_ptr<util::ThreadPool> pool_;
   // Parallel counting-sort scratch, lazily sized on the first large batch:
   // message-weighted shard boundaries over deliver_, per-shard destination
-  // counts (doubling as write cursors) and touched lists, plus a
-  // round-stamped receiver dedup.
+  // counts (doubling as write cursors) and touched lists.
   std::vector<std::size_t> shard_begin_;
   std::vector<std::vector<std::int64_t>> shard_count_;
   std::vector<std::vector<Vertex>> shard_touched_;
-  std::vector<std::int64_t> receiver_stamp_;
 };
 
 }  // namespace usne::congest

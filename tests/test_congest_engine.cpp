@@ -19,6 +19,7 @@
 #include "congest/engine.hpp"
 #include "congest/flood.hpp"
 #include "congest/network.hpp"
+#include "congest/transport.hpp"
 #include "graph/generators.hpp"
 
 // --- global allocation counter (this test binary only) ---------------------
@@ -328,6 +329,143 @@ TEST(Scheduler, BackToBackProgramsDoNotLeak) {
   EXPECT_EQ(first.received(), 0);
   EXPECT_EQ(second.received(), 0);
   EXPECT_EQ(net.stats().messages, before);
+}
+
+// --- idle-round fast-forward -------------------------------------------------
+
+constexpr std::int64_t kHorizon = 1'000'000'000'000;  // 10^12 rounds
+
+/// Acts in four rounds of a 10^12-round schedule and tells the Scheduler to
+/// skip the rest: init and end_round(0) broadcast from vertex 0 (so round 1
+/// is not quiescent), end_round(wake) broadcasts `sends_at_wake` times.
+class SleeperProgram final : public NodeProgram {
+ public:
+  SleeperProgram(std::int64_t wake, int sends_at_wake)
+      : wake_(wake), sends_at_wake_(sends_at_wake) {}
+  void init(Outbox& out) override { out.broadcast(0, Message::of(1)); }
+  void on_round(std::int64_t round, Vertex v, std::span<const Received> inbox,
+                Outbox&) override {
+    deliveries_.push_back({round, v, static_cast<std::int64_t>(inbox.size())});
+  }
+  void end_round(std::int64_t round, Outbox& out) override {
+    ++end_rounds_;
+    const int sends = round == 0 ? 1 : round == wake_ ? sends_at_wake_ : 0;
+    for (int i = 0; i < sends; ++i) out.broadcast(0, Message::of(2));
+  }
+  bool done(std::int64_t next_round) const override {
+    return next_round >= kHorizon;
+  }
+  std::int64_t next_busy_round(std::int64_t round) const override {
+    return round < wake_ ? wake_ : kHorizon;
+  }
+
+  std::vector<std::tuple<std::int64_t, Vertex, std::int64_t>> deliveries_;
+  std::int64_t end_rounds_ = 0;
+
+ private:
+  std::int64_t wake_;
+  int sends_at_wake_;
+};
+
+TEST(Scheduler, FastForwardCountsSkippedRoundsExactly) {
+  const Graph g = gen_path(4);
+  Network net(g);
+  const std::int64_t wake = kHorizon / 2;
+  SleeperProgram program(wake, 1);
+  const ScheduleReport report = Scheduler(net).run(program);
+  // Rounds 0, 1 and wake + 1 deliver; every other round is idle.
+  EXPECT_EQ(report.rounds, kHorizon);
+  EXPECT_EQ(report.idle_rounds, kHorizon - 3);
+  EXPECT_EQ(net.stats().rounds, kHorizon);
+  EXPECT_EQ(report.traffic.messages, 3);
+  using Delivery = std::tuple<std::int64_t, Vertex, std::int64_t>;
+  EXPECT_EQ(program.deliveries_,
+            (std::vector<Delivery>{{0, 1, 1}, {1, 1, 1}, {wake + 1, 1, 1}}));
+  // Only rounds 0, 1, wake and wake + 1 were driven.
+  EXPECT_EQ(program.end_rounds_, 4);
+  EXPECT_EQ(net.pending_messages() + net.in_flight(), 0);
+}
+
+TEST(Scheduler, EdgeCapHoldsAcrossASkip) {
+  // The broadcasts of rounds 0, 1 and wake share vertex 0's edge: legal,
+  // so the cap must not fire falsely after the skip; a second broadcast in
+  // round wake must still be rejected.
+  const Graph g = gen_path(4);
+  Network net(g);
+  SleeperProgram twice(kHorizon / 2, 2);
+  EXPECT_THROW(Scheduler(net).run(twice), CongestViolation);
+  EXPECT_EQ(net.stats().rounds, kHorizon / 2 + 1);
+}
+
+/// A star's hub broadcasts once; the program asks to skip to the end of a
+/// 10^12-round schedule after every round (`skip`), or never.
+class EagerSleeperProgram final : public NodeProgram {
+ public:
+  EagerSleeperProgram(bool skip, std::int64_t horizon)
+      : skip_(skip), horizon_(horizon) {}
+  void init(Outbox& out) override { out.broadcast(0, Message::of(5)); }
+  void on_round(std::int64_t round, Vertex v, std::span<const Received> inbox,
+                Outbox&) override {
+    deliveries_.push_back({round, v, static_cast<std::int64_t>(inbox.size())});
+  }
+  bool done(std::int64_t next_round) const override {
+    return next_round >= horizon_;
+  }
+  std::int64_t next_busy_round(std::int64_t round) const override {
+    return skip_ ? horizon_ : round + 1;
+  }
+
+  std::vector<std::tuple<std::int64_t, Vertex, std::int64_t>> deliveries_;
+
+ private:
+  bool skip_;
+  std::int64_t horizon_;
+};
+
+TEST(Scheduler, FastForwardWaitsForMessagesInFlight) {
+  // Under Async the hub's messages land over several rounds; the skip may
+  // only happen once the last of them is delivered, so every delivery
+  // matches a run that drives each round.
+  const Graph g = gen_star(40);
+  TransportSpec spec;
+  spec.model = TransportModel::kAsync;
+  spec.seed = 11;
+  spec.latency_max = 8;
+  const std::int64_t short_horizon = 64;
+
+  Network ref_net(g);
+  ref_net.configure_transport(spec);
+  EagerSleeperProgram reference(false, short_horizon);
+  const ScheduleReport ref = Scheduler(ref_net).run(reference);
+
+  Network net(g);
+  net.configure_transport(spec);
+  EagerSleeperProgram eager(true, kHorizon);
+  const ScheduleReport got = Scheduler(net).run(eager);
+
+  EXPECT_EQ(eager.deliveries_, reference.deliveries_);
+  std::int64_t received = 0;
+  for (const auto& d : eager.deliveries_) received += std::get<2>(d);
+  EXPECT_EQ(received, 39);
+  EXPECT_GT(std::get<0>(eager.deliveries_.back()), 0);  // some were delayed
+  EXPECT_EQ(got.rounds, kHorizon);
+  EXPECT_EQ(got.rounds - got.idle_rounds, ref.rounds - ref.idle_rounds);
+  EXPECT_EQ(got.traffic.messages, ref.traffic.messages);
+  EXPECT_EQ(net.in_flight(), 0);
+}
+
+TEST(Network, SkipIdleRoundsRequiresQuiescence) {
+  const Graph g = gen_path(3);
+  Network net(g);
+  net.send(0, 1, Message::of(1));
+  EXPECT_THROW(net.skip_idle_rounds(5), std::logic_error);
+  net.advance_round();
+  ASSERT_EQ(net.delivered_to(), std::vector<Vertex>{1});
+  net.skip_idle_rounds(5);
+  EXPECT_TRUE(net.delivered_to().empty());
+  EXPECT_TRUE(net.inbox(1).empty());
+  EXPECT_EQ(net.stats().rounds, 6);
+  EXPECT_NO_THROW(net.send(0, 1, Message::of(2)));  // a fresh round's edge
 }
 
 // --- PipelinedQueues ---------------------------------------------------------

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -135,14 +138,16 @@ TEST(NetworkViolation, OversizedBroadcast) {
 /// One round of random traffic, staged identically on two networks: `rec`
 /// uses broadcast() where a vertex talks to all neighbours, `ref` always
 /// sends per neighbour in ascending order. Vertices stage in a shuffled
-/// order so broadcast records interleave with plain sends.
+/// order so broadcast records interleave with plain sends; only the first
+/// `senders` of that order may send.
 void stage_mixed_round(const Graph& g, std::mt19937& rng, Network& rec,
-                       Network& ref) {
+                       Network& ref, Vertex senders = -1) {
   std::vector<Vertex> order(static_cast<std::size_t>(g.num_vertices()));
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     order[static_cast<std::size_t>(v)] = v;
   }
   std::shuffle(order.begin(), order.end(), rng);
+  if (senders >= 0) order.resize(static_cast<std::size_t>(senders));
   for (const Vertex v : order) {
     const unsigned kind = rng() % 3;  // 0 silent, 1 broadcast, 2 some sends
     const Message m = Message::of(static_cast<Word>(rng() % 1000), v, 7);
@@ -177,45 +182,82 @@ void expect_same_delivery(const Network& rec, const Network& ref) {
 }
 
 TEST(NetworkBroadcast, RecordsMatchPerNeighbourSendsUnderEveryModel) {
-  const Graph g = gen_barabasi_albert(120, 3, 5);  // hubs: long runs
-  for (const TransportModel model :
-       {TransportModel::kIdeal, TransportModel::kFaulty,
-        TransportModel::kAsync}) {
-    TransportSpec spec;
-    spec.model = model;
-    spec.seed = 9;
-    spec.drop_p = model == TransportModel::kFaulty ? 0.2 : 0.0;
-    spec.dup_p = model == TransportModel::kFaulty ? 0.3 : 0.0;
-    spec.latency_max = model == TransportModel::kAsync ? 3 : 1;
-    Network rec(g);
-    Network ref(g);
-    rec.configure_transport(spec);
-    ref.configure_transport(spec);
-    std::mt19937 rng(17);
-    for (int round = 0; round < 25; ++round) {
-      stage_mixed_round(g, rng, rec, ref);
-      EXPECT_EQ(rec.pending_messages(), ref.pending_messages());
-      rec.advance_round();
-      ref.advance_round();
-      SCOPED_TRACE(transport_model_name(model));
-      expect_same_delivery(rec, ref);
-      EXPECT_EQ(rec.in_flight(), ref.in_flight());
+  // Receiver order comes from a bitmap scan in dense rounds and from a sort
+  // in sparse ones. The BA graph's hubs make long runs. n = 130 is not a
+  // multiple of 64, so its bitmap ends in a partial word; every round there
+  // is dense (every vertex may send), far above the bitmap threshold and,
+  // at 2 lanes, with enough messages (> 4096) for the parallel scatter. On
+  // n = 8321 the rounds with 3 senders reach a few dozen receivers, below
+  // the threshold of a 131-word bitmap, so they take the sort.
+  struct Input {
+    Graph g;
+    int rounds;
+    int dense_every;        // round % dense_every == 0: every vertex may send
+    Vertex sparse_senders;  // otherwise only this many
+    std::int64_t densest_at_least;
+  };
+  const Input inputs[] = {{gen_barabasi_albert(120, 3, 5), 25, 1, 0, 0},
+                          {gen_gnm(130, 5000, 23), 16, 1, 0, 4097},
+                          {gen_gnm(8321, 25000, 24), 16, 8, 3, 4097}};
+  for (const Input& in : inputs) {
+    for (const TransportModel model :
+         {TransportModel::kIdeal, TransportModel::kFaulty,
+          TransportModel::kAsync}) {
+      for (const int lanes : {1, 2}) {
+        SCOPED_TRACE("n=" + std::to_string(in.g.num_vertices()) + " " +
+                     transport_model_name(model) +
+                     " lanes=" + std::to_string(lanes));
+        TransportSpec spec;
+        spec.model = model;
+        spec.seed = 9;
+        spec.drop_p = model == TransportModel::kFaulty ? 0.2 : 0.0;
+        spec.dup_p = model == TransportModel::kFaulty ? 0.3 : 0.0;
+        spec.latency_max = model == TransportModel::kAsync ? 3 : 1;
+        Network rec(in.g);
+        Network ref(in.g);
+        rec.configure_transport(spec);
+        ref.configure_transport(spec);
+        rec.set_execution_threads(lanes);
+        std::mt19937 rng(17);
+        std::int64_t densest = 0;
+        for (int round = 0; round < in.rounds; ++round) {
+          stage_mixed_round(in.g, rng, rec, ref,
+                            round % in.dense_every == 0 ? -1
+                                                        : in.sparse_senders);
+          EXPECT_EQ(rec.pending_messages(), ref.pending_messages());
+          rec.advance_round();
+          ref.advance_round();
+          expect_same_delivery(rec, ref);
+          EXPECT_EQ(rec.in_flight(), ref.in_flight());
+          // Receivers ascending, and exactly the vertices with mail.
+          const auto& to = rec.delivered_to();
+          EXPECT_TRUE(std::adjacent_find(to.begin(), to.end(),
+                                         std::greater_equal<>()) == to.end());
+          std::size_t with_mail = 0;
+          for (Vertex v = 0; v < in.g.num_vertices(); ++v) {
+            with_mail += rec.inbox(v).empty() ? 0 : 1;
+          }
+          EXPECT_EQ(with_mail, to.size());
+          densest = std::max(densest, rec.delivered_messages());
+        }
+        EXPECT_GE(densest, in.densest_at_least);
+        while (ref.pending_messages() + ref.in_flight() > 0) {
+          rec.advance_round();
+          ref.advance_round();
+          expect_same_delivery(rec, ref);
+        }
+        EXPECT_EQ(rec.in_flight(), 0);
+        EXPECT_EQ(rec.stats().messages, ref.stats().messages);
+        EXPECT_EQ(rec.stats().words, ref.stats().words);
+        EXPECT_EQ(rec.delivered_total(), ref.delivered_total());
+        EXPECT_EQ(rec.transport().counters().dropped,
+                  ref.transport().counters().dropped);
+        EXPECT_EQ(rec.transport().counters().duplicated,
+                  ref.transport().counters().duplicated);
+        EXPECT_EQ(rec.transport().counters().delayed,
+                  ref.transport().counters().delayed);
+      }
     }
-    while (ref.pending_messages() + ref.in_flight() > 0) {
-      rec.advance_round();
-      ref.advance_round();
-      expect_same_delivery(rec, ref);
-    }
-    EXPECT_EQ(rec.in_flight(), 0);
-    EXPECT_EQ(rec.stats().messages, ref.stats().messages);
-    EXPECT_EQ(rec.stats().words, ref.stats().words);
-    EXPECT_EQ(rec.delivered_total(), ref.delivered_total());
-    EXPECT_EQ(rec.transport().counters().dropped,
-              ref.transport().counters().dropped);
-    EXPECT_EQ(rec.transport().counters().duplicated,
-              ref.transport().counters().duplicated);
-    EXPECT_EQ(rec.transport().counters().delayed,
-              ref.transport().counters().delayed);
   }
 }
 

@@ -307,51 +307,65 @@ class NaiveDetectProgram final : public NodeProgram {
 };
 
 TEST(DetectCongest, CappedMatchesNaiveReference) {
-  // Hubs hear far more than cap sources per stride, so truncation, the
-  // per-vertex dedup and the stride-boundary bookkeeping all bite. Under
-  // the delaying and lossy transports late explore messages also arrive
-  // in later strides.
+  // The naive program keeps the default next_busy_round, so the Scheduler
+  // drives every one of its rounds: the reference for the fast-forward.
+  // "hubs": hubs hear far more than cap sources per stride, so truncation,
+  // the per-vertex dedup and the stride-boundary bookkeeping all bite.
+  // "idle_strides": the cap is far above any per-stride list, so most
+  // rounds of every stride are idle and get skipped. "no_sources": the
+  // whole schedule is idle. Under the delaying and lossy transports late
+  // explore messages also arrive in later strides (and hold skips off).
   const Graph g = gen_barabasi_albert(600, 3, 41);
-  std::vector<Vertex> sources;
-  for (Vertex v = 0; v < 600; v += 5) sources.push_back(v);
-  const Dist delta = 5;
-  const std::int64_t cap = 4;  // < |sources| = 120
+  struct Case {
+    const char* name;
+    Vertex source_step;  // sources = every source_step-th vertex; 0 = none
+    Dist delta;
+    std::int64_t cap;
+  };
+  for (const Case& c : {Case{"hubs", 5, 5, 4},  // cap < |sources| = 120
+                        Case{"idle_strides", 50, 5, 200},
+                        Case{"no_sources", 0, 5, 200}}) {
+    std::vector<Vertex> sources;
+    for (Vertex v = 0; c.source_step > 0 && v < 600; v += c.source_step) {
+      sources.push_back(v);
+    }
+    for (const TransportModel model :
+         {TransportModel::kIdeal, TransportModel::kFaulty,
+          TransportModel::kAsync}) {
+      TransportSpec spec;
+      spec.model = model;
+      spec.seed = 3;
+      spec.drop_p = model == TransportModel::kFaulty ? 0.1 : 0.0;
+      spec.dup_p = model == TransportModel::kFaulty ? 0.2 : 0.0;
+      spec.latency_max = model == TransportModel::kAsync ? 3 : 1;
 
-  for (const TransportModel model :
-       {TransportModel::kIdeal, TransportModel::kFaulty,
-        TransportModel::kAsync}) {
-    TransportSpec spec;
-    spec.model = model;
-    spec.seed = 3;
-    spec.drop_p = model == TransportModel::kFaulty ? 0.1 : 0.0;
-    spec.dup_p = model == TransportModel::kFaulty ? 0.2 : 0.0;
-    spec.latency_max = model == TransportModel::kAsync ? 3 : 1;
+      Network ref_net(g);
+      ref_net.configure_transport(spec);
+      NaiveDetectProgram naive(g.num_vertices(), sources, c.delta, c.cap);
+      Scheduler(ref_net).run(naive);
+      const auto expected = naive.sorted_hits();
 
-    Network ref_net(g);
-    ref_net.configure_transport(spec);
-    NaiveDetectProgram naive(g.num_vertices(), sources, delta, cap);
-    Scheduler(ref_net).run(naive);
-    const auto expected = naive.sorted_hits();
-
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(transport_model_name(model)) +
-                   " threads=" + std::to_string(threads));
-      Network net(g);
-      net.configure_transport(spec);
-      net.set_execution_threads(threads);
-      const DetectResult got = detect_congest(net, sources, delta, cap);
-      ASSERT_EQ(got.hits.size(), expected.size());
-      for (std::size_t v = 0; v < expected.size(); ++v) {
-        ASSERT_EQ(got.hits[v].size(), expected[v].size()) << "v=" << v;
-        for (std::size_t i = 0; i < expected[v].size(); ++i) {
-          EXPECT_EQ(got.hits[v][i].source, expected[v][i].source);
-          EXPECT_EQ(got.hits[v][i].dist, expected[v][i].dist);
-          EXPECT_EQ(got.hits[v][i].pred, expected[v][i].pred);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(c.name) + " " + transport_model_name(model) +
+                     " threads=" + std::to_string(threads));
+        Network net(g);
+        net.configure_transport(spec);
+        net.set_execution_threads(threads);
+        const DetectResult got = detect_congest(net, sources, c.delta, c.cap);
+        ASSERT_EQ(got.hits.size(), expected.size());
+        for (std::size_t v = 0; v < expected.size(); ++v) {
+          ASSERT_EQ(got.hits[v].size(), expected[v].size()) << "v=" << v;
+          for (std::size_t i = 0; i < expected[v].size(); ++i) {
+            EXPECT_EQ(got.hits[v][i].source, expected[v][i].source);
+            EXPECT_EQ(got.hits[v][i].dist, expected[v][i].dist);
+            EXPECT_EQ(got.hits[v][i].pred, expected[v][i].pred);
+          }
         }
+        EXPECT_EQ(got.rounds_used, ref_net.stats().rounds);
+        EXPECT_EQ(net.stats().rounds, ref_net.stats().rounds);
+        EXPECT_EQ(net.stats().messages, ref_net.stats().messages);
+        EXPECT_EQ(net.stats().words, ref_net.stats().words);
       }
-      EXPECT_EQ(net.stats().rounds, ref_net.stats().rounds);
-      EXPECT_EQ(net.stats().messages, ref_net.stats().messages);
-      EXPECT_EQ(net.stats().words, ref_net.stats().words);
     }
   }
 }
